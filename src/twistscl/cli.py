@@ -207,13 +207,9 @@ def _cmd_bounds(args) -> list[Report]:
     return [Report("bounds", "ok", details)]
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _cmd_numerology(args) -> list[Report]:
     try:
-        r = _parse_fraction(args.r)
+        r = Fraction(args.r)
     except (ValueError, ZeroDivisionError):
         return [Report("numerology", "refused", {"error": f"bad rational {args.r!r}"})]
     if args.find_n:

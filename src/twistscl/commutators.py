@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .words import Letter, Word, commutator, multiply
+from .words import Word, commutator, inverse_letters, multiply, parse_word, substitute
 
 
 class ExpansionNotFound(Exception):
-    """No certified factorization was found within the search bounds."""
+    """No certified factorization is available for the requested power."""
 
 
 class CommutatorFactor(NamedTuple):
@@ -56,10 +56,6 @@ def verify_expression(expr: CommutatorExpression) -> bool:
 # Recognizing single commutators (quadratic-word decomposition)
 # ---------------------------------------------------------------------------
 
-def _inverse_tuple(letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    return tuple((n, -s) for n, s in reversed(letters))
-
-
 def as_commutator(w: Word) -> Optional[tuple[Word, Word]]:
     """Decompose ``w`` as a single commutator ``[p, q]``, if possible.
 
@@ -71,13 +67,10 @@ def as_commutator(w: Word) -> Optional[tuple[Word, Word]]:
     (re-checked before returning).
     """
     # Peel conjugation down to the cyclic reduction: w = g * core * g^-1.
-    letters = list(w.letters)
-    prefix: list[Letter] = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        prefix.append(letters.pop(0))
-        letters.pop()
-    core = tuple(letters)
-    g = Word._raw(tuple(prefix))
+    letters, i = w.letters, 0
+    while len(letters) - 2 * i >= 2 and letters[-1 - i] == (letters[i][0], -letters[i][1]):
+        i += 1
+    g, core = Word._raw(letters[:i]), letters[i : len(letters) - i]
 
     if not core:
         return Word.identity(), Word.identity()
@@ -91,13 +84,13 @@ def as_commutator(w: Word) -> Optional[tuple[Word, Word]]:
         window = doubled[rot : rot + n]
         # d^-1 * core-rotation: core = d * window * d^-1 with d = core[:rot].
         for x in range(h + 1):
-            if window[h : h + x] != _inverse_tuple(window[0:x]):
+            if window[h : h + x] != inverse_letters(window[0:x]):
                 continue
             for y in range(h - x + 1):
                 z = h - x - y
-                if window[h + x : h + x + y] != _inverse_tuple(window[x : x + y]):
+                if window[h + x : h + x + y] != inverse_letters(window[x : x + y]):
                     continue
-                if window[h + x + y : n] != _inverse_tuple(window[x + y : h]):
+                if window[h + x + y : n] != inverse_letters(window[x + y : h]):
                     continue
                 conj = g * Word._raw(core[:rot])
                 p = Word._raw(window[0 : x + y]).conjugate(conj)
@@ -138,26 +131,15 @@ def shuffle_expand(u: Word, v: Word, k: int) -> list[Word]:
 # odd k up to 41 and re-certified on every call.  Substituting any u, v
 # for x, y preserves the identity, so one witness serves every alphabet.
 # Even k reduces to k-1 with one extra [u,v] factor.  Beyond the frozen
-# table a bounded search re-runs the chain construction before giving up.
+# table the expansion is refused at once.
 
 _CULLER_X = Word.generator("x")
 _CULLER_Y = Word.generator("y")
 
 
-def substitute(w: Word, images: dict[str, Word]) -> Word:
-    """Apply the homomorphism sending each generator to its image."""
-    out: list[Letter] = []
-    for name, sign in w.letters:
-        img = images[name] if sign > 0 else ~images[name]
-        out.extend(img.letters)
-    return Word(out)
-
-
 def _load_witnesses() -> dict[int, list[tuple[Word, Word]]]:
     import json
     from importlib import resources
-
-    from .words import parse_word
 
     raw = json.loads(
         resources.files("twistscl").joinpath("data/culler_witnesses.json").read_text()
@@ -171,65 +153,6 @@ def _load_witnesses() -> dict[int, list[tuple[Word, Word]]]:
 _WITNESSES: dict[int, list[tuple[Word, Word]]] = {}
 
 
-def _junction_candidates() -> list[Word]:
-    """Reduced null-homologous words of length 4..6 over x, y (fixed order)."""
-    x, y = _CULLER_X, _CULLER_Y
-    alphabet = [x, y, ~x, ~y]
-    out, frontier = [], [Word.identity()]
-    for _ in range(6):
-        next_frontier = []
-        for w in frontier:
-            for a in alphabet:
-                wa = w * a
-                if len(wa) == len(w) + 1:
-                    next_frontier.append(wa)
-        frontier = next_frontier
-        out.extend(frontier)
-
-    def null_homologous(w: Word) -> bool:
-        sums: dict[str, int] = {}
-        for n, s in w.letters:
-            sums[n] = sums.get(n, 0) + s
-        return all(v == 0 for v in sums.values())
-
-    return [w for w in out if len(w) >= 4 and null_homologous(w)]
-
-
-def _search_chain_factors(m: int) -> Optional[list[tuple[Word, Word]]]:
-    """Bounded re-run of the junction-chain search for k = 2m+1."""
-    c = commutator(_CULLER_X, _CULLER_Y)
-    cands = _junction_candidates()
-    starts = [J for J in cands if as_commutator(c * c * J) is not None]
-    ends = {J for J in cands if as_commutator(~J * c) is not None}
-    layers: list[dict[Word, Optional[Word]]] = [{J: None for J in starts}]
-    for _ in range(m - 1):
-        nxt: dict[Word, Optional[Word]] = {}
-        for src in layers[-1]:
-            for dst in cands:
-                if dst not in nxt and as_commutator(~src * c * c * dst) is not None:
-                    nxt[dst] = src
-        if not nxt:
-            return None
-        layers.append(nxt)
-    finish = sorted((J for J in layers[-1] if J in ends), key=lambda w: (len(w), str(w)))
-    if not finish:
-        return None
-    chain = [finish[0]]
-    for layer in reversed(layers[:-1]):
-        chain.append(layer[chain[-1]])
-    chain.reverse()
-    factors, prev = [], Word.identity()
-    for J in chain:
-        pq = as_commutator(~prev * c * c * J)
-        assert pq is not None
-        factors.append(pq)
-        prev = J
-    tail = as_commutator(~prev * c)
-    assert tail is not None
-    factors.append(tail)
-    return factors
-
-
 def _odd_power_factors(m: int) -> list[tuple[Word, Word]]:
     """Certified factor pairs for [x,y]^(2m+1) as m+1 commutators."""
     if m == 0:
@@ -237,23 +160,18 @@ def _odd_power_factors(m: int) -> list[tuple[Word, Word]]:
     if not _WITNESSES:
         _WITNESSES.update(_load_witnesses())
     k = 2 * m + 1
-    pairs = _WITNESSES.get(k)
-    if pairs is None:
-        pairs = _search_chain_factors(m)
-        if pairs is None:
-            raise ExpansionNotFound(
-                f"no certified witness for k={k}; frozen table covers odd k <= "
-                f"{max(_WITNESSES)} and the bounded search found no chain"
-            )
-        _WITNESSES[k] = pairs
-    return pairs
+    if k not in _WITNESSES:
+        raise ExpansionNotFound(
+            f"no certified witness for k={k}; the frozen table covers odd k <= "
+            f"{max(_WITNESSES)}"
+        )
+    return _WITNESSES[k]
 
 
 def culler_expand(u: Word, v: Word, k: int) -> CommutatorExpression:
     """Write ``[u,v]^k`` as a certified product of floor(k/2)+1 commutators."""
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    target = commutator(u, v) ** k
     triples: list[tuple[Word, Word, Word]]
     if k == 1:
         triples = [(Word.identity(), u, v)]
@@ -267,7 +185,7 @@ def culler_expand(u: Word, v: Word, k: int) -> CommutatorExpression:
         ]
         if not odd:
             triples.append((one, u, v))
-    expr = expression(triples, target)
+    expr = expression(triples, commutator(u, v) ** k)
     if not verify_expression(expr):
         raise ExpansionNotFound(f"certification failed for k={k}")
     if expr.factor_count() != k // 2 + 1:

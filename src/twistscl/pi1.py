@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .twists import CurveConfiguration, TwistWord, default_configuration
-from .words import Word, parse_word
+from .words import Word, parse_word, substitute
 
 BASIS = ("x", "y", "z")
 
@@ -44,11 +44,7 @@ class Automorphism:
         return cls({b: Word.generator(b) for b in BASIS})
 
     def apply(self, w: Word) -> Word:
-        out: list = []
-        for name, sign in w.letters:
-            img = self.images[name] if sign > 0 else ~self.images[name]
-            out.extend(img.letters)
-        return Word(out)
+        return substitute(w, self.images)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Return self after other: (self.compose(other))(w) = self(other(w))."""

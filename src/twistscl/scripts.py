@@ -17,7 +17,8 @@ Text format (line oriented, ``#`` starts a comment):
     claim <twist word>
 
 A binding named ``source`` is required.  Bound names can be used as
-tokens (optionally ``^-1``) inside later words.
+symbols inside later words; ``name^-1`` is the inverse of the bound
+word and ``name^3`` spells it three times.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .twists import (
     TwistWord,
     apply_step,
 )
+from .words import MAX_PARSED_LETTERS, Letter, inverse_letters, parse_letters
 
 
 class ProofScript(NamedTuple):
@@ -62,29 +64,25 @@ class DerivationReport(NamedTuple):
 
 def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationReport:
     """Replay a script; accept iff all moves apply and the claim is exact."""
-    word = script.source
+    word: Optional[TwistWord] = script.source
     records: list[StepRecord] = []
     conjugator = TwistWord()
+    failure: Optional[tuple[int, str]] = None
     for i, step in enumerate(script.steps):
         try:
             word = apply_step(word, step, config)
         except MoveError as err:
-            return DerivationReport(
-                False, script.source, script.claimed, None,
-                tuple(records), (i, str(err)), conjugator.reduce(),
-            )
+            word, failure = None, (i, str(err))
+            break
         if step.move == "conjugate-equation":
             conjugator = (TwistWord.parse(step.data, config) * conjugator).reduce()
         records.append(StepRecord(i, step, word))
-    if word != script.claimed:
-        return DerivationReport(
-            False, script.source, script.claimed, word, tuple(records),
-            (len(script.steps), f"final word {word} differs from the claim"),
-            conjugator.reduce(),
-        )
+    else:
+        if word != script.claimed:
+            failure = (len(script.steps), f"final word {word} differs from the claim")
     return DerivationReport(
-        True, script.source, script.claimed, word, tuple(records), None,
-        conjugator.reduce(),
+        failure is None, script.source, script.claimed, word, tuple(records),
+        failure, conjugator,
     )
 
 
@@ -101,19 +99,23 @@ class ScriptSyntaxError(ValueError):
 def _expand_bindings(
     text: str, bindings: dict[str, TwistWord], config: CurveConfiguration, line_no: int
 ) -> TwistWord:
-    symbols: list = []
-    for token in text.split():
-        name, _, exp = token.partition("^")
-        if name in bindings:
-            if exp not in ("", "-1", "1"):
-                raise ScriptSyntaxError(line_no, f"binding power must be +-1: {token!r}")
-            bound = bindings[name]
-            symbols.extend((bound if exp != "-1" else bound.inverse()).symbols)
+    def check(name: str) -> None:
+        if name not in bindings:
+            config.check_symbol(name)
+
+    try:
+        letters = parse_letters(text, check)
+    except ValueError as err:
+        raise ScriptSyntaxError(line_no, str(err)) from None
+    symbols: list[Letter] = []
+    for name, sign in letters:
+        bound = bindings.get(name)
+        if bound is None:
+            symbols.append((name, sign))
         else:
-            try:
-                symbols.extend(TwistWord.parse(token, config).symbols)
-            except ValueError as err:
-                raise ScriptSyntaxError(line_no, str(err)) from None
+            symbols.extend(bound.symbols if sign > 0 else inverse_letters(bound.symbols))
+        if len(symbols) > MAX_PARSED_LETTERS:
+            raise ScriptSyntaxError(line_no, f"word longer than {MAX_PARSED_LETTERS} letters")
     return TwistWord(symbols)
 
 

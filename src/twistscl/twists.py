@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
-SignedSymbol = tuple[str, int]
+from .words import (
+    Letter,
+    free_reduce,
+    format_letters,
+    inverse_letters,
+    join_reduced,
+    parse_letters,
+)
 
 MOVE_KINDS = (
     "free-insert",
@@ -49,24 +56,12 @@ class MappingMismatch(ValueError):
     pass
 
 
-def _parse_signed_token(token: str) -> tuple[str, int]:
-    name, _, exp = token.partition("^")
-    if not name:
-        raise ValueError(f"malformed symbol token {token!r}")
-    if not exp:
-        return name, 1
-    e = int(exp)
-    if e not in (1, -1):
-        raise ValueError(f"single-symbol token needs exponent +-1, got {token!r}")
-    return name, e
-
-
 class TwistWord:
     """A raw sequence of signed symbols (not implicitly reduced)."""
 
     __slots__ = ("symbols",)
 
-    def __init__(self, symbols: Iterable[SignedSymbol] = ()):
+    def __init__(self, symbols: Iterable[Letter] = ()):
         object.__setattr__(self, "symbols", tuple(symbols))
         for name, sign in self.symbols:
             if sign not in (1, -1):
@@ -78,34 +73,16 @@ class TwistWord:
     @classmethod
     def parse(cls, text: str, config: "CurveConfiguration") -> "TwistWord":
         """Parse ``"t1 t2^-3 g"`` against the configuration's alphabet."""
-        text = text.strip()
-        if text in ("", "1"):
-            return cls()
-        symbols: list[SignedSymbol] = []
-        for token in text.split():
-            name, _, exp_text = token.partition("^")
-            exp = int(exp_text) if exp_text else 1
-            if not name or exp == 0:
-                raise ValueError(f"malformed token {token!r}")
-            if name not in config.curve_of_twist and name not in config.mappings:
-                raise ValueError(f"unknown symbol {name!r}")
-            symbols.extend([(name, 1 if exp > 0 else -1)] * abs(exp))
-        return cls(symbols)
+        return cls(parse_letters(text, config.check_symbol))
 
     def inverse(self) -> "TwistWord":
-        return TwistWord((n, -s) for n, s in reversed(self.symbols))
+        return TwistWord(inverse_letters(self.symbols))
 
     def __mul__(self, other: "TwistWord") -> "TwistWord":
         return TwistWord(self.symbols + other.symbols)
 
     def reduce(self) -> "TwistWord":
-        stack: list[SignedSymbol] = []
-        for name, sign in self.symbols:
-            if stack and stack[-1] == (name, -sign):
-                stack.pop()
-            else:
-                stack.append((name, sign))
-        return TwistWord(stack)
+        return TwistWord(free_reduce(self.symbols))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TwistWord) and self.symbols == other.symbols
@@ -120,19 +97,7 @@ class TwistWord:
         return f"TwistWord({str(self)!r})"
 
     def __str__(self) -> str:
-        if not self.symbols:
-            return "1"
-        parts = []
-        i = 0
-        while i < len(self.symbols):
-            name, sign = self.symbols[i]
-            j = i
-            while j < len(self.symbols) and self.symbols[j] == (name, sign):
-                j += 1
-            exp = sign * (j - i)
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-            i = j
-        return " ".join(parts)
+        return format_letters(self.symbols)
 
 
 @dataclass(frozen=True)
@@ -202,6 +167,11 @@ class CurveConfiguration:
     def word(self, text: str) -> TwistWord:
         return TwistWord.parse(text, self)
 
+    def check_symbol(self, name: str) -> None:
+        """The alphabet check: twist symbols and declared mapping symbols."""
+        if name not in self.curve_of_twist and name not in self.mappings:
+            raise ValueError(f"unknown symbol {name!r}")
+
     def _pair(self, sym_a: str, sym_b: str) -> Optional[frozenset[str]]:
         ca = self.curve_of_twist.get(sym_a)
         cb = self.curve_of_twist.get(sym_b)
@@ -257,9 +227,25 @@ class Step(NamedTuple):
         return f"{out} {self.data}" if self.data else out
 
 
+def _step_letters(step: Step, config: CurveConfiguration) -> list[Letter]:
+    """A step's data spelled out over the configuration's alphabet."""
+    try:
+        return parse_letters(step.data, config.check_symbol)
+    except ValueError as err:
+        raise MoveError(step.position, str(err)) from None
+
+
+def _step_symbol(step: Step, config: CurveConfiguration) -> Letter:
+    """The one symbol, with exponent +-1, that a step's data names."""
+    letters = _step_letters(step, config)
+    if len(letters) != 1:
+        raise MoveError(step.position, f"step data must be one symbol, got {step.data!r}")
+    return letters[0]
+
+
 def _definition_expansion(
     config: CurveConfiguration, curve: str, sign: int
-) -> tuple[SignedSymbol, ...]:
+) -> tuple[Letter, ...]:
     image_of, by = config.definitions[curve]
     mid = (config.twist_of_curve[image_of], sign)
     return by.symbols + (mid,) + by.inverse().symbols
@@ -271,7 +257,7 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
     syms = word.symbols
     n = len(syms)
 
-    def window(count: int) -> tuple[SignedSymbol, ...]:
+    def window(count: int) -> tuple[Letter, ...]:
         if p < 0 or p + count > n:
             raise PatternMismatch(p, f"{move} needs {count} symbols at this position")
         return syms[p : p + count]
@@ -279,7 +265,7 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
     if move == "free-insert":
         if p < 0 or p > n:
             raise PatternMismatch(p, "insertion point outside the word")
-        name, sign = _parse_signed_token(data)
+        name, sign = _step_symbol(step, config)
         return TwistWord(syms[:p] + ((name, sign), (name, -sign)) + syms[p:])
 
     if move == "free-cancel":
@@ -336,14 +322,13 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
         raise PatternMismatch(p, f"neither {tw} nor its expansion matches here")
 
     if move == "conjugate-equation":
-        conj = TwistWord.parse(data, config)
+        conj = tuple(_step_letters(step, config))
         # Cancellation happens only at the two seams, which makes the
         # move exactly reversible by conjugating with the inverse word.
-        out = _seam_concat(_seam_concat(conj.symbols, syms), conj.inverse().symbols)
-        return TwistWord(out)
+        return TwistWord(join_reduced(join_reduced(conj, syms), inverse_letters(conj)))
 
     if move == "twist-naturality":
-        mname, msign = _parse_signed_token(data)
+        mname, msign = _step_symbol(step, config)
         mapping = config.mappings.get(mname)
         if mapping is None:
             raise UnregisteredRelation(p, f"{mname!r} is not a declared mapping symbol")
@@ -378,18 +363,6 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
     raise ValueError(f"unknown move kind {move!r}")
 
 
-def _seam_concat(
-    a: tuple[SignedSymbol, ...], b: tuple[SignedSymbol, ...]
-) -> tuple[SignedSymbol, ...]:
-    """Concatenate, cancelling inverse pairs at the junction only."""
-    i = len(a)
-    j = 0
-    while i > 0 and j < len(b) and a[i - 1][0] == b[j][0] and a[i - 1][1] == -b[j][1]:
-        i -= 1
-        j += 1
-    return a[:i] + b[j:]
-
-
 def apply_move(
     word: TwistWord, move: str, position: int, config: CurveConfiguration, data: str = ""
 ) -> TwistWord:
@@ -404,19 +377,16 @@ def inverse_step(
     if move == "free-insert":
         return Step("free-cancel", p)
     if move == "free-cancel":
-        name, sign = word_before.symbols[p]
-        return Step("free-insert", p, f"{name}^-1" if sign < 0 else name)
+        return Step("free-insert", p, format_letters(word_before.symbols[p : p + 1]))
     if move in ("braid", "commute", "chain-substitute", "definition-substitute"):
         return Step(move, p, data)
     if move == "twist-naturality":
-        mname, _ = _parse_signed_token(data)
+        mname, _ = _step_symbol(step, config)
         if word_before.symbols[p][0] == mname:
-            orient = word_before.symbols[p][1]
-            return Step(move, p, mname if orient > 0 else f"{mname}^-1")
+            return Step(move, p, format_letters(word_before.symbols[p : p + 1]))
         return Step(move, p, mname)
     if move == "conjugate-equation":
-        conj = TwistWord.parse(data, config)
-        return Step(move, p, str(conj.inverse()))
+        return Step(move, p, format_letters(inverse_letters(_step_letters(step, config))))
     raise ValueError(f"unknown move kind {move!r}")
 
 

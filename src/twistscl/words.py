@@ -1,18 +1,25 @@
-"""Free-group words over named generators, with exact free reduction.
+"""Free-group words over named generators, and the one implementation
+of every job on signed-letter sequences: full reduction, seam-only
+product, inversion, parsing, printing and substitution.  The raw
+``TwistWord`` of the twist layer uses the same routines over a larger
+alphabet.
 
-A word is an immutable sequence of signed letters.  All constructors
-reduce, so every ``Word`` in circulation is freely reduced and two words
-are equal exactly when their reduced letter sequences agree.  The same
-engine serves plain free-group certificates and the twist-word algebra,
-which only needs a larger alphabet.
+A ``Word`` is an immutable sequence of signed letters.  All
+constructors reduce, so every ``Word`` in circulation is freely reduced
+and two words are equal exactly when their reduced letter sequences
+agree.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # A letter is a generator name with a sign, e.g. ("x", 1) or ("x", -1).
 Letter = tuple[str, int]
+
+# Most letters one parsed word may spell out; a longer word is refused
+# before its letter list is built, so ``t2^1000000000`` costs nothing.
+MAX_PARSED_LETTERS = 10**6
 
 
 def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -26,6 +33,68 @@ def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
         else:
             stack.append((name, sign))
     return tuple(stack)
+
+
+def join_reduced(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Concatenate, cancelling only at the junction (for reduced a, b: a*b)."""
+    i, j = len(a), 0
+    while i > 0 and j < len(b) and a[i - 1][0] == b[j][0] and a[i - 1][1] == -b[j][1]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
+def inverse_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
+    """Reverse the sequence and flip every sign."""
+    return tuple((n, -s) for n, s in reversed(letters))
+
+
+def format_letters(letters: Sequence[Letter]) -> str:
+    """Print runs of equal letters as ``name^exp``; ``"1"`` when empty."""
+    parts, i = [], 0
+    while i < len(letters):
+        name, sign = letters[i]
+        j = i + 1
+        while j < len(letters) and letters[j] == letters[i]:
+            j += 1
+        exp = sign * (j - i)
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+        i = j
+    return " ".join(parts) or "1"
+
+
+def parse_letters(text: str, check_name: Callable[[str], None]) -> list[Letter]:
+    """Spell out a whitespace-separated word like ``"x y^-2 z"``, unreduced.
+
+    Each token is a name with an optional nonzero ``^<int>`` exponent;
+    ``check_name`` is the caller's alphabet check and raises ValueError.
+    ``"1"`` alone denotes the empty word.  A word longer than
+    MAX_PARSED_LETTERS is refused before it is spelled out.
+    """
+    text = text.strip()
+    if text in ("", "1"):
+        return []
+    letters: list[Letter] = []
+    for token in text.split():
+        name, _, exp_text = token.partition("^")
+        if not name:
+            raise ValueError(f"malformed token {token!r}")
+        try:
+            exp = int(exp_text) if exp_text else 1
+        except ValueError:
+            raise ValueError(f"malformed exponent in token {token!r}") from None
+        if exp == 0:
+            raise ValueError(f"zero exponent in token {token!r}")
+        check_name(name)
+        if len(letters) + abs(exp) > MAX_PARSED_LETTERS:
+            raise ValueError(f"word longer than {MAX_PARSED_LETTERS} letters at {token!r}")
+        letters.extend([(name, 1 if exp > 0 else -1)] * abs(exp))
+    return letters
+
+
+def _check_generator_name(name: str) -> None:
+    if not name or not all(c.isalnum() or c == "_" for c in name):
+        raise ValueError(f"generator name must match [a-zA-Z0-9_]+, got {name!r}")
 
 
 class Word:
@@ -53,26 +122,22 @@ class Word:
 
     @classmethod
     def generator(cls, name: str, sign: int = 1) -> "Word":
-        if not name or not all(c.isalnum() or c == "_" for c in name):
-            raise ValueError(f"generator name must match [a-zA-Z0-9_]+, got {name!r}")
+        _check_generator_name(name)
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
         return cls._raw(((name, sign),))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        # Both operands are reduced, so only the seam can cancel.
+        return Word._raw(join_reduced(self.letters, other.letters))
 
     def __invert__(self) -> "Word":
-        return Word._raw(tuple((n, -s) for n, s in reversed(self.letters)))
+        return Word._raw(inverse_letters(self.letters))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return _IDENTITY
-        base = self if n > 0 else ~self
-        result = base
-        for _ in range(abs(n) - 1):
-            result = result * base
-        return result
+        return multiply(*[self if n > 0 else ~self] * abs(n))
 
     def conjugate(self, by: "Word") -> "Word":
         """Return ``by * self * by^-1``."""
@@ -90,9 +155,6 @@ class Word:
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -100,25 +162,7 @@ class Word:
         return f"Word({str(self)!r})"
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        for name, sign, count in run_length(self.letters):
-            exp = sign * count
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-        return " ".join(parts)
-
-
-def run_length(letters: Sequence[Letter]) -> Iterator[tuple[str, int, int]]:
-    """Group consecutive equal letters into (name, sign, count) runs."""
-    i = 0
-    while i < len(letters):
-        name, sign = letters[i]
-        j = i
-        while j < len(letters) and letters[j] == (name, sign):
-            j += 1
-        yield name, sign, j - i
-        i = j
+        return format_letters(self.letters)
 
 
 _IDENTITY = Word._raw(())
@@ -135,25 +179,16 @@ def parse_word(text: str) -> Word:
     Each token is a generator name with an optional ``^<int>`` exponent.
     ``"1"`` (alone) denotes the identity.
     """
-    text = text.strip()
-    if text in ("", "1"):
-        return Word.identity()
-    letters: list[Letter] = []
-    for token in text.split():
-        name, _, exp_text = token.partition("^")
-        if not name:
-            raise ValueError(f"malformed token {token!r}")
-        exp = 1
-        if exp_text:
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ValueError(f"malformed exponent in token {token!r}") from None
-            if exp == 0:
-                raise ValueError(f"zero exponent in token {token!r}")
-        Word.generator(name)  # validates the name
-        letters.extend([(name, 1 if exp > 0 else -1)] * abs(exp))
-    return Word(letters)
+    return Word(parse_letters(text, _check_generator_name))
+
+
+def substitute(w: Word, images: Mapping[str, Word]) -> Word:
+    """Apply the homomorphism sending each generator to its image."""
+    out: list[Letter] = []
+    for name, sign in w.letters:
+        img = images[name].letters
+        out.extend(img if sign > 0 else inverse_letters(img))
+    return Word(out)
 
 
 def commutator(a: Word, b: Word) -> Word:

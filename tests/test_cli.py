@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from twistscl import cli
+from twistscl.words import MAX_PARSED_LETTERS
 
 from golden_cases import CASES, SCRIPT_PATH
 
@@ -79,6 +80,29 @@ def test_check_script_failure_exit_code(tmp_path):
     payload = json.loads(output)
     assert payload["status"] == "fail"
     assert payload["details"]["first_failure"]["step"] == 0
+
+
+def test_check_script_malformed_step_data_fails_at_that_step(tmp_path):
+    bad = tmp_path / "bad.script"
+    bad.write_text("let source = t4 t5\nstep free-insert @0 t2^x\nclaim t4 t5\n")
+    code, output = run_cli(["check-script", str(bad), "--json"])
+    assert code == 1
+    failure = json.loads(output)["details"]["first_failure"]
+    assert failure["step"] == 0 and "malformed exponent" in failure["reason"]
+
+
+def test_check_script_huge_exponent_is_refused(tmp_path):
+    bad = tmp_path / "huge.script"
+    bad.write_text(f"let source = t2^{MAX_PARSED_LETTERS + 1}\nclaim t2\n")
+    code, output = run_cli(["check-script", str(bad), "--json"])
+    assert code == 2
+    assert json.loads(output)["status"] == "refused"
+
+
+def test_expand_culler_beyond_table_is_refused():
+    code, output = run_cli(["expand", "culler", "--k", "43", "--json"])
+    assert code == 2
+    assert "odd k <= 41" in json.loads(output)["details"]["error"]
 
 
 def test_check_script_missing_file_is_refused(tmp_path):

@@ -186,6 +186,18 @@ def test_culler_beyond_table_raises():
         culler_expand(u, v, 101)
 
 
+def test_culler_beyond_table_refuses_without_searching(monkeypatch):
+    import twistscl.commutators as commutators
+
+    def no_search(w):
+        raise AssertionError("a refusal must not search for commutators")
+
+    monkeypatch.setattr(commutators, "as_commutator", no_search)
+    u, v = generators("u", "v")
+    with pytest.raises(ExpansionNotFound, match="odd k <= 41"):
+        culler_expand(u, v, 43)
+
+
 def test_substitution_preserves_identities():
     x, y = generators("x", "y")
     w = commutator(x, y) ** 3

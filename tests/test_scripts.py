@@ -11,6 +11,7 @@ from twistscl.scripts import (
     serialize_script,
 )
 from twistscl.twists import Step, default_configuration
+from twistscl.words import MAX_PARSED_LETTERS
 
 CFG = default_configuration()
 W = CFG.word
@@ -113,6 +114,12 @@ def test_parser_handles_comments_bindings_and_maps():
     assert check_script(script, cfg).accepted
 
 
+def test_binding_powers_spell_the_bound_word():
+    text = "let p = t1 t2\nlet source = p^2 p^-1\nclaim t1"
+    script, _ = parse_script(text, CFG)
+    assert script.source == W("t1 t2 t1 t2 t2^-1 t1^-1")
+
+
 def test_parser_crlf_normalization():
     text = shipped_text().replace("\n", "\r\n")
     script, cfg = parse_script(text, CFG)
@@ -128,11 +135,35 @@ def test_parser_crlf_normalization():
     ("let source = t9\nclaim t9", "unknown symbol"),
     ("map g a4->\nlet source = t1\nclaim t1", "malformed pair"),
     ("let source = t1\nlet source = t2\nclaim t1", "redefined"),
+    ("let source = t2^x\nclaim t1", "malformed exponent"),
+    (f"let source = t2^{MAX_PARSED_LETTERS + 1}\nclaim t1", "longer than"),
 ])
 def test_parser_rejects_malformed_scripts(bad, message):
     with pytest.raises(ScriptSyntaxError) as err:
         parse_script(bad, CFG)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("step, reason", [
+    ("free-insert @0 t2^x", "malformed exponent"),
+    ("free-insert @0 t2^2", "one symbol"),
+    ("free-insert @0 zz", "unknown symbol"),
+    ("twist-naturality @0 g^5", "one symbol"),
+    ("conjugate-equation @0 q", "unknown symbol"),
+])
+def test_malformed_step_data_fails_at_that_step(step, reason):
+    text = f"map g a4->a1\nlet source = t4 t5\nstep commute @0\nstep {step}\nclaim t5 t4\n"
+    script, cfg = parse_script(text, CFG)
+    report = check_script(script, cfg)
+    assert not report.accepted
+    assert report.failure[0] == 1 and reason in report.failure[1]
+    assert len(report.records) == 1
+
+
+def test_nested_bindings_are_capped():
+    text = f"let a = t2^{MAX_PARSED_LETTERS // 2 + 1}\nlet source = a a\nclaim t1"
+    with pytest.raises(ScriptSyntaxError, match="longer than"):
+        parse_script(text, CFG)
 
 
 def test_script_text_format_is_locked():

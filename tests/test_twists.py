@@ -16,6 +16,8 @@ from twistscl.twists import (
     invert_steps,
 )
 
+from twistscl.words import MAX_PARSED_LETTERS
+
 CFG = default_configuration()
 W = CFG.word
 
@@ -51,6 +53,14 @@ def test_twist_word_parse_rejects_unknown_symbols():
         W("t9")
     with pytest.raises(ValueError):
         W("g")  # no mapping declared in the default configuration
+
+
+def test_twist_word_parse_refuses_huge_exponents():
+    with pytest.raises(ValueError, match="longer than"):
+        W(f"t2^{MAX_PARSED_LETTERS + 1}")
+    with pytest.raises(ValueError, match="longer than"):
+        W(f"t1 t2^{MAX_PARSED_LETTERS}")
+    assert len(W(f"t2^-{MAX_PARSED_LETTERS}")) == MAX_PARSED_LETTERS
 
 
 def test_twist_word_reduce():

@@ -56,6 +56,22 @@ def test_word_times_inverse_is_identity():
         assert (Word.identity() * w) == w
 
 
+def test_product_cancels_at_the_seam_like_full_reduction():
+    rng = random.Random(2024)
+    for _ in range(500):
+        a = Word(random_letters(rng, 20))
+        tail = (~a).letters[: rng.randint(0, len(a))]  # inverse of a's tail
+        b = Word(tail + tuple(random_letters(rng, rng.randint(0, 10))))
+        assert a * b == Word(a.letters + b.letters)
+
+
+def test_generator_rejects_bad_sign():
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError):
+            Word.generator("x", sign)
+    assert Word.generator("x", -1) * Word.generator("x") == Word.identity()
+
+
 def test_commutator_of_equal_words_is_trivial():
     x, = generators("x")
     assert commutator(x, x).is_identity()
