@@ -17,6 +17,10 @@ Rational = Union[int, Fraction]
 
 LI_PREMISE = "assumed: 2(g-1)(rn-1) <= c1^2 for relatively minimal fibrations"
 
+# Largest intersection form ``intersection_matrix`` builds; a larger
+# size is refused before any row is allocated (the form has size^2 entries).
+MAX_MATRIX_SIZE = 1000
+
 
 @dataclass(frozen=True)
 class FibrationInvariants:
@@ -126,6 +130,8 @@ def intersection_matrix(m: int) -> IntersectionForm:
     """
     if m < 1:
         raise ValueError("size must be >= 1")
+    if m > MAX_MATRIX_SIZE:
+        raise ValueError(f"size must be <= {MAX_MATRIX_SIZE} (MAX_MATRIX_SIZE)")
     matrix = tuple(
         tuple(2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(m))
         for i in range(m)

@@ -136,6 +136,7 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
     """
     config = config or default_configuration()
     out = Automorphism.identity()
+    defined: dict[tuple[str, int], Automorphism] = {}
     for name, sign in w.symbols:
         curve = config.curve_of_twist.get(name)
         if curve is None:
@@ -143,11 +144,13 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
                 f"symbol {name!r} is not a twist in this configuration"
             )
         if curve in config.definitions:
-            image_of, by = config.definitions[curve]
-            conj = evaluate(by, config)
-            conj_inv = evaluate(by.inverse(), config)
-            inner = twist_automorphism(image_of, sign)
-            aut = conj.compose(inner).compose(conj_inv)
+            aut = defined.get((name, sign))
+            if aut is None:
+                image_of, by = config.definitions[curve]
+                conj = evaluate(by, config)
+                conj_inv = evaluate(by.inverse(), config)
+                inner = twist_automorphism(image_of, sign)
+                aut = defined[name, sign] = conj.compose(inner).compose(conj_inv)
         else:
             aut = twist_automorphism(curve, sign)
         out = out.compose(aut)

@@ -116,7 +116,7 @@ def _expand_bindings(
             symbols.extend(bound.symbols if sign > 0 else inverse_letters(bound.symbols))
         if len(symbols) > MAX_PARSED_LETTERS:
             raise ScriptSyntaxError(line_no, f"word longer than {MAX_PARSED_LETTERS} letters")
-    return TwistWord(symbols)
+    return TwistWord._raw(tuple(symbols))
 
 
 def parse_script(

@@ -71,18 +71,30 @@ class TwistWord:
         raise AttributeError("TwistWord is immutable")
 
     @classmethod
+    def _raw(cls, symbols: tuple[Letter, ...]) -> "TwistWord":
+        """Wrap a tuple of already-checked symbols without re-scanning.
+
+        Every symbol enters through the constructor or ``parse_letters``,
+        both of which check signs, so words built from other words'
+        symbols need no second check.
+        """
+        w = cls.__new__(cls)
+        object.__setattr__(w, "symbols", symbols)
+        return w
+
+    @classmethod
     def parse(cls, text: str, config: "CurveConfiguration") -> "TwistWord":
         """Parse ``"t1 t2^-3 g"`` against the configuration's alphabet."""
-        return cls(parse_letters(text, config.check_symbol))
+        return cls._raw(tuple(parse_letters(text, config.check_symbol)))
 
     def inverse(self) -> "TwistWord":
-        return TwistWord(inverse_letters(self.symbols))
+        return TwistWord._raw(inverse_letters(self.symbols))
 
     def __mul__(self, other: "TwistWord") -> "TwistWord":
-        return TwistWord(self.symbols + other.symbols)
+        return TwistWord._raw(self.symbols + other.symbols)
 
     def reduce(self) -> "TwistWord":
-        return TwistWord(free_reduce(self.symbols))
+        return TwistWord._raw(free_reduce(self.symbols))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TwistWord) and self.symbols == other.symbols
@@ -266,13 +278,13 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
         if p < 0 or p > n:
             raise PatternMismatch(p, "insertion point outside the word")
         name, sign = _step_symbol(step, config)
-        return TwistWord(syms[:p] + ((name, sign), (name, -sign)) + syms[p:])
+        return TwistWord._raw(syms[:p] + ((name, sign), (name, -sign)) + syms[p:])
 
     if move == "free-cancel":
         a, b = window(2)
         if a[0] != b[0] or a[1] != -b[1]:
             raise PatternMismatch(p, f"{a} {b} is not an inverse pair")
-        return TwistWord(syms[:p] + syms[p + 2 :])
+        return TwistWord._raw(syms[:p] + syms[p + 2 :])
 
     if move == "braid":
         (s1, e1), (s2, e2), (s3, e3) = window(3)
@@ -283,7 +295,7 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
             raise PatternMismatch(p, "braid applies to two distinct twists")
         if pair not in config.braid_pairs:
             raise UnregisteredRelation(p, f"{set(pair)} is not a registered braid pair")
-        return TwistWord(syms[:p] + ((s2, e1), (s1, e1), (s2, e1)) + syms[p + 3 :])
+        return TwistWord._raw(syms[:p] + ((s2, e1), (s1, e1), (s2, e1)) + syms[p + 3 :])
 
     if move == "commute":
         (s1, e1), (s2, e2) = window(2)
@@ -292,7 +304,7 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
             raise PatternMismatch(p, "commute applies to two distinct twists")
         if pair not in config.disjoint_pairs:
             raise UnregisteredRelation(p, f"{set(pair)} is not a registered disjoint pair")
-        return TwistWord(syms[:p] + ((s2, e2), (s1, e1)) + syms[p + 2 :])
+        return TwistWord._raw(syms[:p] + ((s2, e2), (s1, e1)) + syms[p + 2 :])
 
     if move == "chain-substitute":
         for left, right in config.chain_relations:
@@ -302,7 +314,7 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
             ):
                 k = len(src.symbols)
                 if p + k <= n and syms[p : p + k] == src.symbols:
-                    return TwistWord(syms[:p] + dst.symbols + syms[p + k :])
+                    return TwistWord._raw(syms[:p] + dst.symbols + syms[p + k :])
         if not config.chain_relations:
             raise UnregisteredRelation(p, "no chain relation is registered")
         raise PatternMismatch(p, "no chain relation side matches here")
@@ -314,18 +326,19 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
         tw = config.twist_of_curve[curve]
         if p < n and syms[p][0] == tw:
             sign = syms[p][1]
-            return TwistWord(syms[:p] + _definition_expansion(config, curve, sign) + syms[p + 1 :])
+            expansion = _definition_expansion(config, curve, sign)
+            return TwistWord._raw(syms[:p] + expansion + syms[p + 1 :])
         for sign in (1, -1):
             pat = _definition_expansion(config, curve, sign)
             if p + len(pat) <= n and syms[p : p + len(pat)] == pat:
-                return TwistWord(syms[:p] + ((tw, sign),) + syms[p + len(pat) :])
+                return TwistWord._raw(syms[:p] + ((tw, sign),) + syms[p + len(pat) :])
         raise PatternMismatch(p, f"neither {tw} nor its expansion matches here")
 
     if move == "conjugate-equation":
         conj = tuple(_step_letters(step, config))
         # Cancellation happens only at the two seams, which makes the
         # move exactly reversible by conjugating with the inverse word.
-        return TwistWord(join_reduced(join_reduced(conj, syms), inverse_letters(conj)))
+        return TwistWord._raw(join_reduced(join_reduced(conj, syms), inverse_letters(conj)))
 
     if move == "twist-naturality":
         mname, msign = _step_symbol(step, config)
@@ -345,7 +358,7 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
                 raise UnregisteredRelation(
                     p, f"mapping {mname!r} does not determine the image of {curve!r}"
                 )
-            return TwistWord(syms[:p] + ((config.twist_of_curve[target], e),) + syms[p + 3 :])
+            return TwistWord._raw(syms[:p] + ((config.twist_of_curve[target], e),) + syms[p + 3 :])
         if p < n and syms[p][0] in config.curve_of_twist:
             # expand  t_d -> m t_{m^-1(d)} m^-1   (data m)
             #         t_d -> m^-1 t_{m(d)} m      (data m^-1)
@@ -357,7 +370,7 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
                     p, f"mapping {mname!r} does not reach {curve!r} in this direction"
                 )
             piece = ((mname, msign), (config.twist_of_curve[inner], e), (mname, -msign))
-            return TwistWord(syms[:p] + piece + syms[p + 1 :])
+            return TwistWord._raw(syms[:p] + piece + syms[p + 1 :])
         raise PatternMismatch(p, "twist-naturality needs a mapping symbol or twist here")
 
     raise ValueError(f"unknown move kind {move!r}")

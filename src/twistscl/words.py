@@ -137,7 +137,19 @@ class Word:
         return Word._raw(inverse_letters(self.letters))
 
     def __pow__(self, n: int) -> "Word":
-        return multiply(*[self if n > 0 else ~self] * abs(n))
+        if n == 0:
+            return _IDENTITY
+        letters = self.letters if n > 0 else inverse_letters(self.letters)
+        # Split w = g core g^-1 with core cyclically reduced; then
+        # w^n = g core^n g^-1 and no copy of core cancels against the next.
+        m, k = len(letters), 0
+        while (
+            k < m - 1 - k
+            and letters[k][0] == letters[m - 1 - k][0]
+            and letters[k][1] == -letters[m - 1 - k][1]
+        ):
+            k += 1
+        return Word._raw(letters[:k] + letters[k : m - k] * abs(n) + letters[m - k :])
 
     def conjugate(self, by: "Word") -> "Word":
         """Return ``by * self * by^-1``."""

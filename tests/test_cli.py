@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from twistscl import cli
+from twistscl.fibration import MAX_MATRIX_SIZE
 from twistscl.words import MAX_PARSED_LETTERS
 
 from golden_cases import CASES, SCRIPT_PATH
@@ -103,6 +104,14 @@ def test_expand_culler_beyond_table_is_refused():
     code, output = run_cli(["expand", "culler", "--k", "43", "--json"])
     assert code == 2
     assert "odd k <= 41" in json.loads(output)["details"]["error"]
+
+
+def test_matrix_beyond_the_cap_is_refused():
+    code, output = run_cli(["matrix", "--size", str(MAX_MATRIX_SIZE + 1), "--json"])
+    assert code == 2
+    payload = json.loads(output)
+    assert payload["status"] == "refused"
+    assert str(MAX_MATRIX_SIZE) in payload["details"]["error"]
 
 
 def test_check_script_missing_file_is_refused(tmp_path):

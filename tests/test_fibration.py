@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from twistscl.fibration import (
+    MAX_MATRIX_SIZE,
     ContradictionSearch,
     find_contradiction_n,
     intersection_matrix,
@@ -136,3 +137,9 @@ def test_matrix_minors_up_to_200():
     assert form.minors == tuple(k + 1 for k in range(1, 201))
     assert all(form.matrix[i][j] == (2 if i == j else 1 if abs(i - j) == 1 else 0)
                for i in range(200) for j in range(200))
+
+
+def test_matrix_size_is_capped():
+    assert intersection_matrix(MAX_MATRIX_SIZE).minors[-1] == MAX_MATRIX_SIZE + 1
+    with pytest.raises(ValueError, match=str(MAX_MATRIX_SIZE)):
+        intersection_matrix(MAX_MATRIX_SIZE + 1)

@@ -65,6 +65,13 @@ def test_alpha_is_the_conjugated_twist():
     assert equal_in_rep(W("t_beta"), W("t2^3 t3 t2^-3"), CFG)
 
 
+def test_repeated_defined_symbols_evaluate_as_conjugated_powers():
+    assert evaluate(W("t_alpha^8"), CFG) == evaluate(W("t2^2 t3^8 t2^-2"), CFG)
+    assert evaluate(W("t_beta^-3"), CFG) == evaluate(W("t2^3 t3^-3 t2^-3"), CFG)
+    mixed = W("t_alpha t_beta^-1 t_alpha^-1 t_alpha t_beta^-1")
+    assert evaluate(mixed, CFG) == evaluate(W("t2^2 t3 t2 t3^-2 t2^-3"), CFG)
+
+
 def test_evaluate_empty_word_is_identity():
     assert evaluate(TwistWord(), CFG).is_identity()
 

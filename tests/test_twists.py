@@ -3,6 +3,7 @@ import random
 import pytest
 
 from twistscl.twists import (
+    MOVE_KINDS,
     CurveConfiguration,
     MappingSymbol,
     PatternMismatch,
@@ -61,6 +62,13 @@ def test_twist_word_parse_refuses_huge_exponents():
     with pytest.raises(ValueError, match="longer than"):
         W(f"t1 t2^{MAX_PARSED_LETTERS}")
     assert len(W(f"t2^-{MAX_PARSED_LETTERS}")) == MAX_PARSED_LETTERS
+
+
+def test_twist_word_constructor_rejects_bad_signs():
+    for sign in (2, 0, -2):
+        with pytest.raises(ValueError, match="sign must be"):
+            TwistWord([("t1", sign)])
+    assert TwistWord([("t1", -1)]) == W("t1^-1")
 
 
 def test_twist_word_reduce():
@@ -173,7 +181,8 @@ def test_moves_are_reversible_on_random_derivations():
              "chain-substitute", "definition-substitute", "twist-naturality",
              "conjugate-equation"]
     inserts = ["t1", "t2^-1", "t3", "t4^-1", "t5", "t_alpha", "t_beta^-1"]
-    tried = applied = 0
+    tried = 0
+    applied = {move: 0 for move in moves}
     for word in start_words:
         for _ in range(400):
             move = rng.choice(moves)
@@ -194,11 +203,16 @@ def test_moves_are_reversible_on_random_derivations():
                 after = apply_step(word, step, cfg)
             except (PatternMismatch, UnregisteredRelation):
                 continue
-            applied += 1
+            applied[move] += 1
+            # Moves wrap their output without re-checking it; the full
+            # constructor check must accept every word they build.
+            assert type(after.symbols) is tuple
+            assert TwistWord(after.symbols) == after
             back = apply_step(after, inverse_step(word, step, cfg), cfg)
             assert back == word, (str(word), step)
             word = after
-    assert applied > 200, (tried, applied)
+    assert sorted(moves) == sorted(MOVE_KINDS)
+    assert all(applied.values()) and sum(applied.values()) > 200, (tried, applied)
 
 
 def test_invert_steps_round_trip():

@@ -88,6 +88,36 @@ def test_negative_power_reverses_and_negates():
     assert w ** 0 == Word.identity()
 
 
+def power_by_full_reduction(w, n):
+    letters = w.letters if n >= 0 else (~w).letters
+    return Word(letters * abs(n))
+
+
+def test_power_matches_repeated_full_reduction():
+    rng = random.Random(31337)
+    for _ in range(3000):
+        w = Word(random_letters(rng, rng.randint(0, 12), names=("x", "y")))
+        if rng.random() < 0.5:  # force a conjugating prefix
+            g = Word(random_letters(rng, rng.randint(1, 4), names=("x", "y")))
+            w = w.conjugate(g)
+        n = rng.randint(-7, 7)
+        power = w ** n
+        assert power == power_by_full_reduction(w, n), (str(w), n)
+        assert free_reduce(power.letters) == power.letters
+
+
+@pytest.mark.parametrize("text", ["1", "x", "x y x y^-1 x^-1", "y^-1 x^3 y", "x y x^-1 y^-1"])
+@pytest.mark.parametrize("n", [-3, -1, 0, 1, 2, 5])
+def test_power_edge_cases(text, n):
+    w = parse_word(text)
+    assert w ** n == power_by_full_reduction(w, n)
+
+
+def test_large_power_has_exact_length():
+    x, y = generators("x", "y")
+    assert len(commutator(x, y) ** 4000) == 16000
+
+
 def test_conjugate():
     w, g = parse_word("x"), parse_word("y z")
     assert w.conjugate(g) == parse_word("y z x z^-1 y^-1")
