@@ -7,9 +7,10 @@ whose replay through check_script is the certification.
 
 from __future__ import annotations
 
+from importlib import resources
 from typing import NamedTuple, Optional
 
-from .scripts import DerivationReport, ProofScript, check_script
+from .scripts import DerivationReport, ProofScript, check_script, parse_script
 from .twists import (
     CurveConfiguration,
     MappingMismatch,
@@ -97,49 +98,12 @@ def four_twist_commutator(
 # The tenth-power certificate
 # ---------------------------------------------------------------------------
 
-def chain_to_normal_form_steps() -> tuple[Step, ...]:
-    """Moves proving  t4 t5 = t1 t_alpha t2^4 t1 t2^-1 t_beta t2^-1 t2^6.
-
-    The derivation is value preserving: instead of conjugating the
-    equation, an inverse pair is inserted up front and one twist is
-    carried through the boundary twists by disjointness before the
-    chain relation fires.
-    """
-    return (
-        # rotation setup: t4 t5 -> t2^-1 t4 t5 t2
-        Step("free-insert", 0, "t2^-1"),
-        Step("commute", 1),
-        Step("commute", 2),
-        # chain relation, then regroup by braid moves
-        Step("chain-substitute", 1),
-        Step("commute", 3),
-        Step("commute", 9),
-        Step("braid", 1),
-        Step("braid", 4),
-        Step("braid", 7),
-        Step("braid", 10),
-        Step("free-cancel", 0),
-        # fold the two defined curves back in
-        Step("free-insert", 4, "t2^-1"),
-        Step("free-insert", 5, "t2^-1"),
-        Step("definition-substitute", 1, "alpha"),
-        Step("free-insert", 7, "t2^-1"),
-        Step("free-insert", 12, "t2^-1"),
-        Step("free-insert", 13, "t2^-1"),
-        Step("free-insert", 14, "t2^-1"),
-        Step("definition-substitute", 8, "beta"),
-        Step("free-insert", 9, "t2^-1"),
-    )
-
-
 def boundary_pair_script(config: Optional[CurveConfiguration] = None) -> ProofScript:
-    """The replayable derivation of the two-bracket normal form."""
-    config = config or default_configuration()
-    return ProofScript(
-        config.word("t4 t5"),
-        chain_to_normal_form_steps(),
-        config.word("t1 t_alpha t2^4 t1 t2^-1 t_beta t2^-1 t2^6"),
-    )
+    """The replayable derivation of the two-bracket normal form,
+    t4 t5 = t1 t_alpha t2^4 t1 t2^-1 t_beta t2^-1 t2^6, as shipped in
+    ``data/tenth_power.script``."""
+    text = resources.files("twistscl").joinpath("data/tenth_power.script").read_text()
+    return parse_script(text, config or default_configuration())[0]
 
 
 def standard_mappings() -> tuple[MappingSymbol, MappingSymbol]:
@@ -176,8 +140,8 @@ def tenth_power_certificate(
     expr = TwistCommutatorExpression((factor1, factor2), target)
 
     # Build the spelled certificate up from t2^10.
-    core = chain_to_normal_form_steps()
-    _, reversed_core = invert_steps(word("t4 t5"), core, builder)
+    core = boundary_pair_script(builder)
+    _, reversed_core = invert_steps(core.source, core.steps, builder)
     buildup: list[Step] = [
         # t2^4 * Q * Q^-1 * t2^6 with Q = t1 t2^-1 t_beta t2^-1
         Step("free-insert", 4, "t1"),

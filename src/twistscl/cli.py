@@ -13,13 +13,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 from typing import Any, Optional
 
 from . import bounds as bounds_mod
 from . import fibration
 from .commutators import ExpansionNotFound, bavard_expand, culler_expand
-from .certificates import tenth_power_certificate
+from .certificates import boundary_pair_script, tenth_power_certificate
 from .pi1 import equal_in_rep, validate_model
 from .scripts import ScriptSyntaxError, check_script, parse_script
 from .twists import default_configuration
@@ -89,9 +88,8 @@ def _cmd_verify(args) -> list[Report]:
 
     # tenth-power: replay the shipped script, check the displayed equality
     # in the representation, then certify the two-commutator expression.
-    text = resources.files("twistscl").joinpath("data/tenth_power.script").read_text()
-    script, cfg = parse_script(text, config)
-    replay = check_script(script, cfg)
+    script = boundary_pair_script(config)
+    replay = check_script(script, config)
     displayed = equal_in_rep(
         config.word("t4 t_alpha^-1 t5 t1^-1"),
         config.word("t2^4 t1 t2^-1 t_beta t2^-1 t2^6"),
@@ -158,7 +156,7 @@ def _cmd_expand(args) -> list[Report]:
         details = {
             "k": args.k,
             "factor_count": expr.factor_count(),
-            "expected_count": args.k // 2 + 1,
+            "expected_count": bounds_mod.cl_upper(1, args.k),
             "verified": True,
         }
     else:
@@ -175,7 +173,7 @@ def _cmd_expand(args) -> list[Report]:
             "r": args.r,
             "k": args.k,
             "factor_count": expr.factor_count(),
-            "expected_count": args.k * (args.r - 1) + args.k // 2 + 1,
+            "expected_count": bounds_mod.cl_upper(args.r, args.k),
             "verified": True,
         }
     certificate = _expression_payload(expr) if args.emit else None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .bounds import cl_upper
 from .words import Word, commutator, inverse_letters, multiply, parse_word, substitute
 
 
@@ -188,7 +189,7 @@ def culler_expand(u: Word, v: Word, k: int) -> CommutatorExpression:
     expr = expression(triples, commutator(u, v) ** k)
     if not verify_expression(expr):
         raise ExpansionNotFound(f"certification failed for k={k}")
-    if expr.factor_count() != k // 2 + 1:
+    if expr.factor_count() != cl_upper(1, k):
         raise ExpansionNotFound(f"wrong factor count for k={k}")
     return expr
 
@@ -230,6 +231,6 @@ def bavard_expand(pairs: Sequence[tuple[Word, Word]], k: int) -> CommutatorExpre
 
     if not verify_expression(expr):
         raise ExpansionNotFound(f"certification failed for r={r}, k={k}")
-    if expr.factor_count() != k * (r - 1) + k // 2 + 1:
+    if expr.factor_count() != cl_upper(r, k):
         raise ExpansionNotFound(f"wrong factor count for r={r}, k={k}")
     return expr

@@ -11,7 +11,7 @@ adjacent inverse pairs; ``free-cancel`` is the move that removes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Optional
 
 from .words import (
@@ -22,18 +22,6 @@ from .words import (
     join_reduced,
     parse_letters,
 )
-
-MOVE_KINDS = (
-    "free-insert",
-    "free-cancel",
-    "braid",
-    "commute",
-    "chain-substitute",
-    "definition-substitute",
-    "conjugate-equation",
-    "twist-naturality",
-)
-
 
 class MoveError(Exception):
     """A move failed to apply; carries the offending position."""
@@ -163,18 +151,10 @@ class CurveConfiguration:
                 raise ValueError(f"mapping {symbol.name!r} uses unknown curves")
         if symbol.name in self.mappings or symbol.name in self.curve_of_twist:
             raise ValueError(f"symbol name {symbol.name!r} already in use")
-        mappings = dict(self.mappings)
-        mappings[symbol.name] = symbol
-        return CurveConfiguration(
-            self.curves, self.twist_of_curve, self.braid_pairs,
-            self.disjoint_pairs, self.chain_relations, self.definitions, mappings,
-        )
+        return replace(self, mappings={**self.mappings, symbol.name: symbol})
 
     def without_chain_relations(self) -> "CurveConfiguration":
-        return CurveConfiguration(
-            self.curves, self.twist_of_curve, self.braid_pairs,
-            self.disjoint_pairs, (), self.definitions, dict(self.mappings),
-        )
+        return replace(self, chain_relations=())
 
     def word(self, text: str) -> TwistWord:
         return TwistWord.parse(text, self)
@@ -183,13 +163,6 @@ class CurveConfiguration:
         """The alphabet check: twist symbols and declared mapping symbols."""
         if name not in self.curve_of_twist and name not in self.mappings:
             raise ValueError(f"unknown symbol {name!r}")
-
-    def _pair(self, sym_a: str, sym_b: str) -> Optional[frozenset[str]]:
-        ca = self.curve_of_twist.get(sym_a)
-        cb = self.curve_of_twist.get(sym_b)
-        if ca is None or cb is None:
-            return None
-        return frozenset((ca, cb))
 
 
 def default_configuration() -> CurveConfiguration:
@@ -263,117 +236,168 @@ def _definition_expansion(
     return by.symbols + (mid,) + by.inverse().symbols
 
 
+def _window(syms: tuple[Letter, ...], step: Step, count: int) -> tuple[Letter, ...]:
+    p = step.position
+    if p < 0 or p + count > len(syms):
+        raise PatternMismatch(p, f"{step.move} needs {count} symbols at this position")
+    return syms[p : p + count]
+
+
+def _check_pair(
+    config: CurveConfiguration, step: Step, s1: str, s2: str,
+    registered: frozenset[frozenset[str]], kind: str,
+) -> None:
+    """The braid and commute precondition: two distinct, registered curves."""
+    pair = frozenset((config.curve_of_twist.get(s1), config.curve_of_twist.get(s2)))
+    if None in pair or len(pair) != 2:
+        raise PatternMismatch(step.position, f"{step.move} applies to two distinct twists")
+    if pair not in registered:
+        names = ", ".join(repr(c) for c in sorted(pair))
+        raise UnregisteredRelation(
+            step.position, f"{{{names}}} is not a registered {kind} pair"
+        )
+
+
+# Each move checks its pattern and returns the rewritten symbols together
+# with the step that undoes it, built from what the match found.
+_Rewrite = tuple[tuple[Letter, ...], Step]
+
+
+def _free_insert(syms, step, config) -> _Rewrite:
+    p = step.position
+    if p < 0 or p > len(syms):
+        raise PatternMismatch(p, "insertion point outside the word")
+    name, sign = _step_symbol(step, config)
+    return syms[:p] + ((name, sign), (name, -sign)) + syms[p:], Step("free-cancel", p)
+
+
+def _free_cancel(syms, step, config) -> _Rewrite:
+    p = step.position
+    a, b = _window(syms, step, 2)
+    if a[0] != b[0] or a[1] != -b[1]:
+        raise PatternMismatch(p, f"{a} {b} is not an inverse pair")
+    return syms[:p] + syms[p + 2 :], Step("free-insert", p, format_letters((a,)))
+
+
+def _braid(syms, step, config) -> _Rewrite:
+    p = step.position
+    (s1, e1), (s2, e2), (s3, e3) = _window(syms, step, 3)
+    if not (s1 == s3 and e1 == e2 == e3):
+        raise PatternMismatch(p, "braid needs s t s with a uniform sign")
+    _check_pair(config, step, s1, s2, config.braid_pairs, "braid")
+    return syms[:p] + ((s2, e1), (s1, e1), (s2, e1)) + syms[p + 3 :], step
+
+
+def _commute(syms, step, config) -> _Rewrite:
+    p = step.position
+    (s1, e1), (s2, e2) = _window(syms, step, 2)
+    _check_pair(config, step, s1, s2, config.disjoint_pairs, "disjoint")
+    return syms[:p] + ((s2, e2), (s1, e1)) + syms[p + 2 :], step
+
+
+def _chain_substitute(syms, step, config) -> _Rewrite:
+    p = step.position
+    for left, right in config.chain_relations:
+        for src, dst in (
+            (left, right), (right, left),
+            (left.inverse(), right.inverse()), (right.inverse(), left.inverse()),
+        ):
+            k = len(src.symbols)
+            if p + k <= len(syms) and syms[p : p + k] == src.symbols:
+                return syms[:p] + dst.symbols + syms[p + k :], step
+    if not config.chain_relations:
+        raise UnregisteredRelation(p, "no chain relation is registered")
+    raise PatternMismatch(p, "no chain relation side matches here")
+
+
+def _definition_substitute(syms, step, config) -> _Rewrite:
+    p, curve = step.position, step.data
+    if curve not in config.definitions:
+        raise UnregisteredRelation(p, f"{curve!r} has no registered definition")
+    tw = config.twist_of_curve[curve]
+    if p < len(syms) and syms[p][0] == tw:
+        expansion = _definition_expansion(config, curve, syms[p][1])
+        return syms[:p] + expansion + syms[p + 1 :], step
+    for sign in (1, -1):
+        pat = _definition_expansion(config, curve, sign)
+        if p + len(pat) <= len(syms) and syms[p : p + len(pat)] == pat:
+            return syms[:p] + ((tw, sign),) + syms[p + len(pat) :], step
+    raise PatternMismatch(p, f"neither {tw} nor its expansion matches here")
+
+
+def _conjugate_equation(syms, step, config) -> _Rewrite:
+    conj = tuple(_step_letters(step, config))
+    inv = inverse_letters(conj)
+    # Cancellation happens only at the two seams, so conjugating with the
+    # inverse word undoes the move, provided the cancellation did not reach
+    # an inverse pair of the word itself.
+    out = join_reduced(join_reduced(conj, syms), inv)
+    return out, Step(step.move, step.position, format_letters(inv))
+
+
+def _twist_naturality(syms, step, config) -> _Rewrite:
+    p = step.position
+    mname, msign = _step_symbol(step, config)
+    mapping = config.mappings.get(mname)
+    if mapping is None:
+        raise UnregisteredRelation(p, f"{mname!r} is not a declared mapping symbol")
+    if p < len(syms) and syms[p][0] == mname:
+        # collapse  m t_c m^-1  ->  t_{m(c)}  (or preimage for m^-1 ... m);
+        # undone by expanding with the mapping symbol found here
+        (m1, s1), (mid_name, e), (m2, s2) = _window(syms, step, 3)
+        if m2 != mname or s2 != -s1:
+            raise PatternMismatch(p, f"need {mname} ... {mname}^-1 around a twist")
+        curve = config.curve_of_twist.get(mid_name)
+        if curve is None:
+            raise PatternMismatch(p, f"{mid_name!r} is not a twist symbol")
+        target = mapping.image_of(curve) if s1 > 0 else mapping.preimage_of(curve)
+        if target is None:
+            raise UnregisteredRelation(
+                p, f"mapping {mname!r} does not determine the image of {curve!r}"
+            )
+        out = syms[:p] + ((config.twist_of_curve[target], e),) + syms[p + 3 :]
+        return out, Step(step.move, p, format_letters(syms[p : p + 1]))
+    if p < len(syms) and syms[p][0] in config.curve_of_twist:
+        # expand  t_d -> m t_{m^-1(d)} m^-1   (data m)
+        #         t_d -> m^-1 t_{m(d)} m      (data m^-1)
+        # undone by collapsing, which reads the direction off the word
+        tw, e = syms[p]
+        curve = config.curve_of_twist[tw]
+        inner = mapping.preimage_of(curve) if msign > 0 else mapping.image_of(curve)
+        if inner is None:
+            raise UnregisteredRelation(
+                p, f"mapping {mname!r} does not reach {curve!r} in this direction"
+            )
+        piece = ((mname, msign), (config.twist_of_curve[inner], e), (mname, -msign))
+        return syms[:p] + piece + syms[p + 1 :], Step(step.move, p, mname)
+    raise PatternMismatch(p, "twist-naturality needs a mapping symbol or twist here")
+
+
+_MOVES = {
+    "free-insert": _free_insert,
+    "free-cancel": _free_cancel,
+    "braid": _braid,
+    "commute": _commute,
+    "chain-substitute": _chain_substitute,
+    "definition-substitute": _definition_substitute,
+    "conjugate-equation": _conjugate_equation,
+    "twist-naturality": _twist_naturality,
+}
+MOVE_KINDS = tuple(_MOVES)
+
+
+def _rewrite(word: TwistWord, step: Step, config: CurveConfiguration) -> tuple[TwistWord, Step]:
+    """Apply ``step`` once; return the new word and the step undoing it."""
+    move = _MOVES.get(step.move)
+    if move is None:
+        raise ValueError(f"unknown move kind {step.move!r}")
+    symbols, inverse = move(word.symbols, step, config)
+    return TwistWord._raw(symbols), inverse
+
+
 def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> TwistWord:
     """Apply one rewriting move; raises MoveError when it does not apply."""
-    move, p, data = step.move, step.position, step.data
-    syms = word.symbols
-    n = len(syms)
-
-    def window(count: int) -> tuple[Letter, ...]:
-        if p < 0 or p + count > n:
-            raise PatternMismatch(p, f"{move} needs {count} symbols at this position")
-        return syms[p : p + count]
-
-    if move == "free-insert":
-        if p < 0 or p > n:
-            raise PatternMismatch(p, "insertion point outside the word")
-        name, sign = _step_symbol(step, config)
-        return TwistWord._raw(syms[:p] + ((name, sign), (name, -sign)) + syms[p:])
-
-    if move == "free-cancel":
-        a, b = window(2)
-        if a[0] != b[0] or a[1] != -b[1]:
-            raise PatternMismatch(p, f"{a} {b} is not an inverse pair")
-        return TwistWord._raw(syms[:p] + syms[p + 2 :])
-
-    if move == "braid":
-        (s1, e1), (s2, e2), (s3, e3) = window(3)
-        if not (s1 == s3 and e1 == e2 == e3):
-            raise PatternMismatch(p, "braid needs s t s with a uniform sign")
-        pair = config._pair(s1, s2)
-        if pair is None or len(pair) != 2:
-            raise PatternMismatch(p, "braid applies to two distinct twists")
-        if pair not in config.braid_pairs:
-            raise UnregisteredRelation(p, f"{set(pair)} is not a registered braid pair")
-        return TwistWord._raw(syms[:p] + ((s2, e1), (s1, e1), (s2, e1)) + syms[p + 3 :])
-
-    if move == "commute":
-        (s1, e1), (s2, e2) = window(2)
-        pair = config._pair(s1, s2)
-        if pair is None or len(pair) != 2:
-            raise PatternMismatch(p, "commute applies to two distinct twists")
-        if pair not in config.disjoint_pairs:
-            raise UnregisteredRelation(p, f"{set(pair)} is not a registered disjoint pair")
-        return TwistWord._raw(syms[:p] + ((s2, e2), (s1, e1)) + syms[p + 2 :])
-
-    if move == "chain-substitute":
-        for left, right in config.chain_relations:
-            for src, dst in (
-                (left, right), (right, left),
-                (left.inverse(), right.inverse()), (right.inverse(), left.inverse()),
-            ):
-                k = len(src.symbols)
-                if p + k <= n and syms[p : p + k] == src.symbols:
-                    return TwistWord._raw(syms[:p] + dst.symbols + syms[p + k :])
-        if not config.chain_relations:
-            raise UnregisteredRelation(p, "no chain relation is registered")
-        raise PatternMismatch(p, "no chain relation side matches here")
-
-    if move == "definition-substitute":
-        curve = data
-        if curve not in config.definitions:
-            raise UnregisteredRelation(p, f"{curve!r} has no registered definition")
-        tw = config.twist_of_curve[curve]
-        if p < n and syms[p][0] == tw:
-            sign = syms[p][1]
-            expansion = _definition_expansion(config, curve, sign)
-            return TwistWord._raw(syms[:p] + expansion + syms[p + 1 :])
-        for sign in (1, -1):
-            pat = _definition_expansion(config, curve, sign)
-            if p + len(pat) <= n and syms[p : p + len(pat)] == pat:
-                return TwistWord._raw(syms[:p] + ((tw, sign),) + syms[p + len(pat) :])
-        raise PatternMismatch(p, f"neither {tw} nor its expansion matches here")
-
-    if move == "conjugate-equation":
-        conj = tuple(_step_letters(step, config))
-        # Cancellation happens only at the two seams, which makes the
-        # move exactly reversible by conjugating with the inverse word.
-        return TwistWord._raw(join_reduced(join_reduced(conj, syms), inverse_letters(conj)))
-
-    if move == "twist-naturality":
-        mname, msign = _step_symbol(step, config)
-        mapping = config.mappings.get(mname)
-        if mapping is None:
-            raise UnregisteredRelation(p, f"{mname!r} is not a declared mapping symbol")
-        if p < n and syms[p][0] == mname:
-            # collapse  m t_c m^-1  ->  t_{m(c)}  (or preimage for m^-1 ... m)
-            (m1, s1), (mid_name, e), (m2, s2) = window(3)
-            if m2 != mname or s2 != -s1:
-                raise PatternMismatch(p, f"need {mname} ... {mname}^-1 around a twist")
-            curve = config.curve_of_twist.get(mid_name)
-            if curve is None:
-                raise PatternMismatch(p, f"{mid_name!r} is not a twist symbol")
-            target = mapping.image_of(curve) if s1 > 0 else mapping.preimage_of(curve)
-            if target is None:
-                raise UnregisteredRelation(
-                    p, f"mapping {mname!r} does not determine the image of {curve!r}"
-                )
-            return TwistWord._raw(syms[:p] + ((config.twist_of_curve[target], e),) + syms[p + 3 :])
-        if p < n and syms[p][0] in config.curve_of_twist:
-            # expand  t_d -> m t_{m^-1(d)} m^-1   (data m)
-            #         t_d -> m^-1 t_{m(d)} m      (data m^-1)
-            tw, e = syms[p]
-            curve = config.curve_of_twist[tw]
-            inner = mapping.preimage_of(curve) if msign > 0 else mapping.image_of(curve)
-            if inner is None:
-                raise UnregisteredRelation(
-                    p, f"mapping {mname!r} does not reach {curve!r} in this direction"
-                )
-            piece = ((mname, msign), (config.twist_of_curve[inner], e), (mname, -msign))
-            return TwistWord._raw(syms[:p] + piece + syms[p + 1 :])
-        raise PatternMismatch(p, "twist-naturality needs a mapping symbol or twist here")
-
-    raise ValueError(f"unknown move kind {move!r}")
+    return _rewrite(word, step, config)[0]
 
 
 def apply_move(
@@ -385,22 +409,11 @@ def apply_move(
 def inverse_step(
     word_before: TwistWord, step: Step, config: CurveConfiguration
 ) -> Step:
-    """The move that undoes ``step`` (applied to the step's output)."""
-    move, p, data = step.move, step.position, step.data
-    if move == "free-insert":
-        return Step("free-cancel", p)
-    if move == "free-cancel":
-        return Step("free-insert", p, format_letters(word_before.symbols[p : p + 1]))
-    if move in ("braid", "commute", "chain-substitute", "definition-substitute"):
-        return Step(move, p, data)
-    if move == "twist-naturality":
-        mname, _ = _step_symbol(step, config)
-        if word_before.symbols[p][0] == mname:
-            return Step(move, p, format_letters(word_before.symbols[p : p + 1]))
-        return Step(move, p, mname)
-    if move == "conjugate-equation":
-        return Step(move, p, format_letters(inverse_letters(_step_letters(step, config))))
-    raise ValueError(f"unknown move kind {move!r}")
+    """The move that undoes ``step`` (applied to the step's output).
+
+    Raises MoveError when ``step`` does not apply to ``word_before``.
+    """
+    return _rewrite(word_before, step, config)[1]
 
 
 def invert_steps(
@@ -410,7 +423,7 @@ def invert_steps(
     word = source
     inverses: list[Step] = []
     for step in steps:
-        inverses.append(inverse_step(word, step, config))
-        word = apply_step(word, step, config)
+        word, inverse = _rewrite(word, step, config)
+        inverses.append(inverse)
     inverses.reverse()
     return word, inverses

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,23 @@ def test_check_script_malformed_step_data_fails_at_that_step(tmp_path):
     assert code == 1
     failure = json.loads(output)["details"]["first_failure"]
     assert failure["step"] == 0 and "malformed exponent" in failure["reason"]
+
+
+def test_check_script_failure_reason_does_not_depend_on_string_hashing(tmp_path):
+    bad = tmp_path / "commute.script"
+    bad.write_text("let source = t1 t2\nstep commute @0\nclaim t2 t1\n")
+    outputs = []
+    for seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(REPO_ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "twistscl", "check-script", str(bad), "--json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 1
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    reason = json.loads(outputs[0])["details"]["first_failure"]["reason"]
+    assert reason == "@0: {'a1', 'a2'} is not a registered disjoint pair"
 
 
 def test_check_script_huge_exponent_is_refused(tmp_path):

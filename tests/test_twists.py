@@ -6,6 +6,7 @@ from twistscl.twists import (
     MOVE_KINDS,
     CurveConfiguration,
     MappingSymbol,
+    MoveError,
     PatternMismatch,
     Step,
     TwistWord,
@@ -89,7 +90,8 @@ def test_braid_move():
 
 
 def test_braid_on_disjoint_pair_is_unregistered():
-    with pytest.raises(UnregisteredRelation):
+    # the pair is named in sorted order, independent of string hashing
+    with pytest.raises(UnregisteredRelation, match=r"\{'a1', 'a3'\} is not a registered braid"):
         apply_move(W("t1 t3 t1"), "braid", 0, CFG)
 
 
@@ -106,8 +108,9 @@ def test_commute_move():
 
 
 def test_commute_on_braid_pair_is_unregistered():
-    with pytest.raises(UnregisteredRelation):
-        apply_move(W("t1 t2"), "commute", 0, CFG)
+    for word in (W("t1 t2"), W("t2 t1")):
+        with pytest.raises(UnregisteredRelation, match=r"\{'a1', 'a2'\} is not a registered disjoint"):
+            apply_move(word, "commute", 0, CFG)
 
 
 def test_chain_substitute_both_directions():
@@ -150,6 +153,15 @@ def test_conjugate_equation_seam_cancellation():
     assert w2 == W("t3 t2 t1 t2^-1 t3^-1")
 
 
+@pytest.mark.xfail(strict=True, reason="the seam cancellation can consume an "
+                   "inverse pair of the word itself, which the inverse conjugation "
+                   "does not restore")
+def test_conjugate_equation_inverse_restores_an_unreduced_seam():
+    word, step = W("t3^-1 t3 t1"), Step("conjugate-equation", 0, "t3")
+    after = apply_step(word, step, CFG)  # t3 t1 t3^-1
+    assert apply_step(after, inverse_step(word, step, CFG), CFG) == word
+
+
 def test_twist_naturality_with_declared_mapping():
     g = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
     cfg = CFG.with_mapping(g)
@@ -177,15 +189,16 @@ def test_moves_are_reversible_on_random_derivations():
         cfg.word("t4 t5"), cfg.word("t1 t2 t1 t3"), cfg.word("t_alpha t4 t1^-1"),
         cfg.word("g t4 g^-1 t2"), cfg.word("t2^3 t3^-1 t2^-3 t1"),
     ]
-    moves = ["free-insert", "free-cancel", "braid", "commute",
-             "chain-substitute", "definition-substitute", "twist-naturality",
-             "conjugate-equation"]
     inserts = ["t1", "t2^-1", "t3", "t4^-1", "t5", "t_alpha", "t_beta^-1"]
     tried = 0
-    applied = {move: 0 for move in moves}
-    for word in start_words:
-        for _ in range(400):
-            move = rng.choice(moves)
+    applied = {move: 0 for move in MOVE_KINDS}
+    for start in start_words:
+        for i in range(400):
+            # derivations of 20 moves, so that relation windows such as
+            # t4 t5 are not lost in a long word
+            if i % 20 == 0:
+                word = start
+            move = rng.choice(MOVE_KINDS)
             pos = rng.randrange(0, len(word) + 1)
             if move == "free-insert":
                 data = rng.choice(inserts)
@@ -211,8 +224,26 @@ def test_moves_are_reversible_on_random_derivations():
             back = apply_step(after, inverse_step(word, step, cfg), cfg)
             assert back == word, (str(word), step)
             word = after
-    assert sorted(moves) == sorted(MOVE_KINDS)
     assert all(applied.values()) and sum(applied.values()) > 200, (tried, applied)
+
+
+def test_inverse_step_refuses_a_step_that_does_not_apply():
+    # Each inverse is built by applying the step, so a step that does not
+    # apply has no inverse.
+    g = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
+    cfg = CFG.with_mapping(g)
+    for word, step in (
+        (W("t1 t2"), Step("free-cancel", 0)),
+        (W("t1 t3 t1"), Step("braid", 0)),
+        (W("t1 t2"), Step("commute", 0)),
+        (W("t2"), Step("twist-naturality", 0, "g")),
+        (W("t1"), Step("conjugate-equation", 0, "q")),
+        (W("t1"), Step("free-insert", 5, "t2")),
+    ):
+        with pytest.raises(MoveError):
+            inverse_step(word, step, cfg)
+    with pytest.raises(ValueError, match="unknown move kind"):
+        inverse_step(W("t1"), Step("no-such-move", 0), cfg)
 
 
 def test_invert_steps_round_trip():
