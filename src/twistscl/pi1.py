@@ -34,21 +34,31 @@ class Automorphism:
     def __init__(self, images: dict[str, Word]):
         if set(images) != set(BASIS):
             raise ValueError(f"images must be given exactly on {BASIS}")
+        for b in BASIS:
+            if not isinstance(images[b], Word):
+                raise TypeError(f"image of {b} must be a Word, got {images[b]!r}")
         object.__setattr__(self, "images", {b: images[b] for b in BASIS})
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
 
     @classmethod
+    def _raw(cls, images: dict[str, Word]) -> "Automorphism":
+        """Wrap images already keyed in BASIS order by Words, unchecked."""
+        a = cls.__new__(cls)
+        object.__setattr__(a, "images", images)
+        return a
+
+    @classmethod
     def identity(cls) -> "Automorphism":
-        return cls({b: Word.generator(b) for b in BASIS})
+        return _IDENTITY
 
     def apply(self, w: Word) -> Word:
         return substitute(w, self.images)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Return self after other: (self.compose(other))(w) = self(other(w))."""
-        return Automorphism({b: self.apply(other.images[b]) for b in BASIS})
+        return Automorphism._raw({b: self.apply(other.images[b]) for b in BASIS})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Automorphism) and self.images == other.images
@@ -57,7 +67,7 @@ class Automorphism:
         return hash(tuple(self.images[b] for b in BASIS))
 
     def is_identity(self) -> bool:
-        return all(self.images[b] == Word.generator(b) for b in BASIS)
+        return self.images == _IDENTITY.images
 
     def __repr__(self) -> str:
         body = ", ".join(f"{b} -> {self.images[b]}" for b in BASIS)
@@ -72,6 +82,9 @@ class Automorphism:
                 sums[name] += sign
             rows.append(tuple(sums[name] for name in BASIS))
         return tuple(rows)
+
+
+_IDENTITY = Automorphism({b: Word.generator(b) for b in BASIS})
 
 
 def _inner(by: Word) -> Automorphism:
@@ -135,7 +148,7 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
     their defining conjugates.  Mapping symbols have no model and raise.
     """
     config = config or default_configuration()
-    out = Automorphism.identity()
+    out = _IDENTITY
     defined: dict[tuple[str, int], Automorphism] = {}
     for name, sign in w.symbols:
         curve = config.curve_of_twist.get(name)

@@ -195,12 +195,28 @@ def parse_word(text: str) -> Word:
 
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
-    """Apply the homomorphism sending each generator to its image."""
+    """Apply the homomorphism sending each generator to its image.
+
+    Every image and every image's inverse is reduced, so letters cancel
+    only where one image meets the next (possibly through a whole
+    image); the cost is linear in the letters read and written plus the
+    cancellations.
+    """
     out: list[Letter] = []
+    inverses: dict[str, tuple[Letter, ...]] = {}
     for name, sign in w.letters:
-        img = images[name].letters
-        out.extend(img if sign > 0 else inverse_letters(img))
-    return Word(out)
+        if sign > 0:
+            img = images[name].letters
+        else:
+            img = inverses.get(name)
+            if img is None:
+                img = inverses[name] = inverse_letters(images[name].letters)
+        j, n = 0, len(img)
+        while j < n and out and out[-1][0] == img[j][0] and out[-1][1] == -img[j][1]:
+            out.pop()
+            j += 1
+        out.extend(img[j:])
+    return Word._raw(tuple(out))
 
 
 def commutator(a: Word, b: Word) -> Word:

@@ -138,5 +138,54 @@ def test_broken_model_fails_validation():
 def test_automorphism_images_validated():
     with pytest.raises(ValueError):
         Automorphism({"x": parse_word("x")})
+    with pytest.raises(TypeError):
+        Automorphism({"x": "x", "y": "y", "z": "z"})
+    with pytest.raises(TypeError):
+        Automorphism({"x": parse_word("x"), "y": parse_word("y"), "z": (("z", 1),)})
     with pytest.raises(AttributeError):
         Automorphism.identity().images = {}
+
+
+def _reference_compose(outer: Automorphism, inner: Automorphism) -> Automorphism:
+    """outer after inner: concatenate images and reduce in full, checked."""
+    images = {}
+    for b in pi1.BASIS:
+        flat = []
+        for name, sign in inner.images[b].letters:
+            img = outer.images[name].letters
+            flat.extend(img if sign > 0 else [(n, -s) for n, s in reversed(img)])
+        images[b] = Word(flat)
+    return Automorphism(images)
+
+
+def _reference_evaluate(tw: TwistWord) -> Automorphism:
+    out = Automorphism({b: Word([(b, 1)]) for b in pi1.BASIS})
+    for name, sign in tw.symbols:
+        curve = CFG.curve_of_twist[name]
+        if curve in CFG.definitions:
+            image_of, by = CFG.definitions[curve]
+            conj = _reference_compose(_reference_evaluate(by), twist_automorphism(image_of, sign))
+            aut = _reference_compose(conj, _reference_evaluate(by.inverse()))
+        else:
+            aut = twist_automorphism(curve, sign)
+        out = _reference_compose(out, aut)
+    return out
+
+
+def test_evaluate_matches_a_reference_fold():
+    rng = random.Random(20261018)
+    symbols = ["t1", "t2", "t3", "t4", "t5", "t_alpha", "t_beta"]
+    defined = 0
+    for _ in range(300):
+        w = TwistWord(
+            [(rng.choice(symbols), rng.choice((1, -1))) for _ in range(rng.randrange(0, 13))]
+        )
+        defined += any(name in ("t_alpha", "t_beta") for name, _ in w.symbols)
+        got = evaluate(w, CFG)
+        assert got == _reference_evaluate(w), str(w)
+        assert all(img.letters == Word(img.letters).letters for img in got.images.values())
+    assert defined >= 150
+
+
+def test_evaluate_baseline_image_length():
+    assert len(evaluate(W("t2^20 t_alpha^10 t1^-20"), CFG).images["y"]) == 9391

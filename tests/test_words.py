@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from twistscl.words import Word, commutator, free_reduce, generators, multiply, parse_word
+from twistscl.words import (
+    Word,
+    commutator,
+    free_reduce,
+    generators,
+    multiply,
+    parse_word,
+    substitute,
+)
 
 
 def naive_reduce(letters):
@@ -152,3 +160,60 @@ def test_multiply_varargs():
     x, y = generators("x", "y")
     assert multiply(x, y, ~x) == parse_word("x y x^-1")
     assert multiply() == Word.identity()
+
+
+def test_substitute_matches_full_reduction():
+    """Joining reduced images at their seams equals reducing the whole concatenation."""
+    rng = random.Random(20261018)
+    seen = {"empty image": 0, "inverse images": 0, "whole images cancel": 0, "both signs": 0}
+    for case in range(2400):
+        # Images are products of a few shared pieces, so they share
+        # prefixes and suffixes and whole images cancel across seams.
+        pieces = [Word(random_letters(rng, rng.randint(1, 4))) for _ in range(3)]
+        images = {}
+        for g in "abc":
+            images[g] = multiply(
+                *(p if rng.random() < 0.7 else ~p
+                  for p in rng.choices(pieces, k=rng.randint(1, 3)))
+            )
+        if case % 4 == 0:
+            images[rng.choice("abc")] = Word.identity()
+        elif case % 4 == 1:
+            g, h = rng.sample("abc", 2)
+            images[h] = ~images[g]
+        letters = random_letters(rng, rng.randint(0, 12), "abc")
+        if case % 4 == 2:
+            # g h k^-1 with image(k) = image(g) image(h): three whole images cancel.
+            g, h, k = rng.sample("abc", 3)
+            images[k] = images[g] * images[h]
+            at = rng.randint(0, len(letters))
+            letters[at:at] = [(g, 1), (h, 1), (k, -1)]
+        elif case % 4 == 3:
+            for g in "abc":
+                for sign in (1, -1):
+                    letters.insert(rng.randint(0, len(letters)), (g, sign))
+        w = Word(letters)
+
+        def reference(word_letters):
+            flat = []
+            for name, sign in word_letters:
+                flat.extend(images[name].letters if sign > 0 else (~images[name]).letters)
+            return Word(flat)
+
+        got = substitute(w, images)
+        assert got.letters == reference(w.letters).letters
+        assert free_reduce(got.letters) == got.letters
+
+        used = {name for name, _ in w.letters}
+        seen["empty image"] += any(not images[g].letters for g in used)
+        seen["inverse images"] += any(
+            images[g].letters and images[g] == ~images[h] for g in used for h in used if g != h
+        )
+        seen["whole images cancel"] += any(
+            all(images[g].letters for g, _ in w.letters[i:j])
+            and not reference(w.letters[i:j]).letters
+            for i in range(len(w))
+            for j in range(i + 3, len(w) + 1)
+        )
+        seen["both signs"] += all({(g, 1), (g, -1)} <= set(w.letters) for g in "abc")
+    assert min(seen.values()) >= 50, seen
