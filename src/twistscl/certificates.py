@@ -7,6 +7,7 @@ whose replay through check_script is the certification.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from typing import NamedTuple, Optional
 
@@ -123,14 +124,27 @@ def tenth_power_certificate(
     h: a1->a2, a2->beta.  The certificate script is produced by
     building the spelled-out certificate up from t2^10 with reversible
     moves and then playing the inverses; its replay by check_script is
-    value preserving and lands exactly on t2^10.
+    value preserving and lands exactly on t2^10.  The script is built
+    once per process; every call replays it against ``config``.
     """
     config = config or default_configuration()
     g, h = standard_mappings()
     cfg = config.with_mapping(g).with_mapping(h)
-    # The script is assembled against the standard relations; the caller's
-    # configuration only governs the replay, so removing a relation there
-    # makes certification fail at the step that needed it.
+    expr, script = _tenth_power_script()
+    report = check_script(script, cfg)
+    return CertifiedExpression(expr, script, cfg, report)
+
+
+@functools.cache
+def _tenth_power_script() -> tuple[TwistCommutatorExpression, ProofScript]:
+    """The certificate expression and its 47-step script.
+
+    The script is assembled against the standard relations; the caller's
+    configuration only governs the replay, so removing a relation there
+    makes certification fail at the step that needed it.  Everything
+    returned is immutable, so callers share it safely.
+    """
+    g, h = standard_mappings()
     builder = default_configuration().with_mapping(g).with_mapping(h)
     word = builder.word
 
@@ -178,6 +192,4 @@ def tenth_power_certificate(
     spelled, steps = invert_steps(target, buildup, builder)
     if spelled != expr.spelled():
         raise AssertionError("certificate build-up does not spell the expression")
-    script = ProofScript(spelled, tuple(steps), target)
-    report = check_script(script, cfg)
-    return CertifiedExpression(expr, script, cfg, report)
+    return expr, ProofScript(spelled, tuple(steps), target)

@@ -134,7 +134,19 @@ def parse_script(
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "map":
+        if head == "step":
+            parts = rest.split(None, 2)
+            if len(parts) < 2 or not parts[1].startswith("@"):
+                raise ScriptSyntaxError(line_no, "step needs `step <move> @<index> [data]`")
+            move = parts[0]
+            if move not in MOVE_KINDS:
+                raise ScriptSyntaxError(line_no, f"unknown move {move!r}")
+            try:
+                position = int(parts[1][1:])
+            except ValueError:
+                raise ScriptSyntaxError(line_no, f"bad position {parts[1]!r}") from None
+            steps.append(Step(move, position, parts[2].strip() if len(parts) > 2 else ""))
+        elif head == "map":
             name, _, pairs_text = rest.partition(" ")
             if not name or not pairs_text:
                 raise ScriptSyntaxError(line_no, "map needs a name and curve pairs")
@@ -156,18 +168,6 @@ def parse_script(
             if name in bindings:
                 raise ScriptSyntaxError(line_no, f"binding {name!r} redefined")
             bindings[name] = _expand_bindings(body.strip(), bindings, config, line_no)
-        elif head == "step":
-            parts = rest.split(None, 2)
-            if len(parts) < 2 or not parts[1].startswith("@"):
-                raise ScriptSyntaxError(line_no, "step needs `step <move> @<index> [data]`")
-            move = parts[0]
-            if move not in MOVE_KINDS:
-                raise ScriptSyntaxError(line_no, f"unknown move {move!r}")
-            try:
-                position = int(parts[1][1:])
-            except ValueError:
-                raise ScriptSyntaxError(line_no, f"bad position {parts[1]!r}") from None
-            steps.append(Step(move, position, parts[2].strip() if len(parts) > 2 else ""))
         elif head == "claim":
             if claimed is not None:
                 raise ScriptSyntaxError(line_no, "duplicate claim")

@@ -137,13 +137,59 @@ class CurveConfiguration:
     definitions: dict[str, tuple[str, TwistWord]]
     mappings: dict[str, MappingSymbol] = field(default_factory=dict)
     curve_of_twist: dict[str, str] = field(init=False, default_factory=dict)
+    # Tables the moves look up, built once here; ``replace`` re-runs
+    # ``__post_init__``, so they follow every derived configuration.
+    _pair_kind: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
+    _expansion: dict[tuple[str, int], tuple[Letter, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _chain_sides: tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _letter_of_token: dict[str, Letter] = field(init=False, repr=False, compare=False)
+    _token_of_letter: dict[Letter, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.braid_pairs & self.disjoint_pairs:
             raise ValueError("a pair cannot be both braid and disjoint")
-        object.__setattr__(
-            self, "curve_of_twist", {t: c for c, t in self.twist_of_curve.items()}
-        )
+        twist_of = self.twist_of_curve
+        curve_of_twist = {t: c for c, t in twist_of.items()}
+        pair_kind = {}
+        for kind, registered in (("braid", self.braid_pairs), ("disjoint", self.disjoint_pairs)):
+            for pair in registered:
+                if len(pair) == 2:
+                    c1, c2 = pair
+                    s1, s2 = twist_of.get(c1), twist_of.get(c2)
+                    if curve_of_twist.get(s1) == c1 and curve_of_twist.get(s2) == c2:
+                        pair_kind[s1, s2] = pair_kind[s2, s1] = kind
+        expansion = {}
+        for curve, (image_of, by) in self.definitions.items():
+            if image_of in twist_of:
+                inverse = inverse_letters(by.symbols)
+                for sign in (1, -1):
+                    expansion[curve, sign] = by.symbols + ((twist_of[image_of], sign),) + inverse
+        # In the order chain-substitute tries them; the first match wins.
+        chain_sides = ()
+        for left, right in self.chain_relations:
+            l, r = left.symbols, right.symbols
+            li, ri = inverse_letters(l), inverse_letters(r)
+            chain_sides += ((l, r), (r, l), (li, ri), (ri, li))
+        # Each symbol's spellings as step data, both ways (what
+        # format_letters prints for one letter, and what parse_letters
+        # reads as exactly that letter).
+        letter_of_token, token_of_letter = {}, {}
+        for name in (*curve_of_twist, *self.mappings):
+            inverted = token_of_letter[name, -1] = f"{name}^-1"
+            token_of_letter[name, 1] = name
+            if name != "1" and "^" not in name and name.split() == [name]:
+                letter_of_token[name] = letter_of_token[f"{name}^1"] = (name, 1)
+                letter_of_token[inverted] = (name, -1)
+        for attr, value in (
+            ("curve_of_twist", curve_of_twist), ("_pair_kind", pair_kind),
+            ("_expansion", expansion), ("_chain_sides", chain_sides),
+            ("_letter_of_token", letter_of_token), ("_token_of_letter", token_of_letter),
+        ):
+            object.__setattr__(self, attr, value)
 
     def with_mapping(self, symbol: MappingSymbol) -> "CurveConfiguration":
         for curve, image in symbol.mapping:
@@ -222,18 +268,13 @@ def _step_letters(step: Step, config: CurveConfiguration) -> list[Letter]:
 
 def _step_symbol(step: Step, config: CurveConfiguration) -> Letter:
     """The one symbol, with exponent +-1, that a step's data names."""
+    letter = config._letter_of_token.get(step.data)
+    if letter is not None:
+        return letter
     letters = _step_letters(step, config)
     if len(letters) != 1:
         raise MoveError(step.position, f"step data must be one symbol, got {step.data!r}")
     return letters[0]
-
-
-def _definition_expansion(
-    config: CurveConfiguration, curve: str, sign: int
-) -> tuple[Letter, ...]:
-    image_of, by = config.definitions[curve]
-    mid = (config.twist_of_curve[image_of], sign)
-    return by.symbols + (mid,) + by.inverse().symbols
 
 
 def _window(syms: tuple[Letter, ...], step: Step, count: int) -> tuple[Letter, ...]:
@@ -243,19 +284,15 @@ def _window(syms: tuple[Letter, ...], step: Step, count: int) -> tuple[Letter, .
     return syms[p : p + count]
 
 
-def _check_pair(
-    config: CurveConfiguration, step: Step, s1: str, s2: str,
-    registered: frozenset[frozenset[str]], kind: str,
-) -> None:
+def _check_pair(config: CurveConfiguration, step: Step, s1: str, s2: str, kind: str) -> None:
     """The braid and commute precondition: two distinct, registered curves."""
+    if config._pair_kind.get((s1, s2)) == kind:
+        return
     pair = frozenset((config.curve_of_twist.get(s1), config.curve_of_twist.get(s2)))
     if None in pair or len(pair) != 2:
         raise PatternMismatch(step.position, f"{step.move} applies to two distinct twists")
-    if pair not in registered:
-        names = ", ".join(repr(c) for c in sorted(pair))
-        raise UnregisteredRelation(
-            step.position, f"{{{names}}} is not a registered {kind} pair"
-        )
+    names = ", ".join(repr(c) for c in sorted(pair))
+    raise UnregisteredRelation(step.position, f"{{{names}}} is not a registered {kind} pair")
 
 
 # Each move checks its pattern and returns the rewritten symbols together
@@ -276,7 +313,8 @@ def _free_cancel(syms, step, config) -> _Rewrite:
     a, b = _window(syms, step, 2)
     if a[0] != b[0] or a[1] != -b[1]:
         raise PatternMismatch(p, f"{a} {b} is not an inverse pair")
-    return syms[:p] + syms[p + 2 :], Step("free-insert", p, format_letters((a,)))
+    spelling = config._token_of_letter.get(a) or format_letters((a,))
+    return syms[:p] + syms[p + 2 :], Step("free-insert", p, spelling)
 
 
 def _braid(syms, step, config) -> _Rewrite:
@@ -284,27 +322,23 @@ def _braid(syms, step, config) -> _Rewrite:
     (s1, e1), (s2, e2), (s3, e3) = _window(syms, step, 3)
     if not (s1 == s3 and e1 == e2 == e3):
         raise PatternMismatch(p, "braid needs s t s with a uniform sign")
-    _check_pair(config, step, s1, s2, config.braid_pairs, "braid")
+    _check_pair(config, step, s1, s2, "braid")
     return syms[:p] + ((s2, e1), (s1, e1), (s2, e1)) + syms[p + 3 :], step
 
 
 def _commute(syms, step, config) -> _Rewrite:
     p = step.position
     (s1, e1), (s2, e2) = _window(syms, step, 2)
-    _check_pair(config, step, s1, s2, config.disjoint_pairs, "disjoint")
+    _check_pair(config, step, s1, s2, "disjoint")
     return syms[:p] + ((s2, e2), (s1, e1)) + syms[p + 2 :], step
 
 
 def _chain_substitute(syms, step, config) -> _Rewrite:
     p = step.position
-    for left, right in config.chain_relations:
-        for src, dst in (
-            (left, right), (right, left),
-            (left.inverse(), right.inverse()), (right.inverse(), left.inverse()),
-        ):
-            k = len(src.symbols)
-            if p + k <= len(syms) and syms[p : p + k] == src.symbols:
-                return syms[:p] + dst.symbols + syms[p + k :], step
+    for src, dst in config._chain_sides:
+        k = len(src)
+        if p + k <= len(syms) and syms[p : p + k] == src:
+            return syms[:p] + dst + syms[p + k :], step
     if not config.chain_relations:
         raise UnregisteredRelation(p, "no chain relation is registered")
     raise PatternMismatch(p, "no chain relation side matches here")
@@ -316,10 +350,10 @@ def _definition_substitute(syms, step, config) -> _Rewrite:
         raise UnregisteredRelation(p, f"{curve!r} has no registered definition")
     tw = config.twist_of_curve[curve]
     if p < len(syms) and syms[p][0] == tw:
-        expansion = _definition_expansion(config, curve, syms[p][1])
+        expansion = config._expansion[curve, syms[p][1]]
         return syms[:p] + expansion + syms[p + 1 :], step
     for sign in (1, -1):
-        pat = _definition_expansion(config, curve, sign)
+        pat = config._expansion[curve, sign]
         if p + len(pat) <= len(syms) and syms[p : p + len(pat)] == pat:
             return syms[:p] + ((tw, sign),) + syms[p + len(pat) :], step
     raise PatternMismatch(p, f"neither {tw} nor its expansion matches here")

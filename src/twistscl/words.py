@@ -69,26 +69,36 @@ def parse_letters(text: str, check_name: Callable[[str], None]) -> list[Letter]:
     Each token is a name with an optional nonzero ``^<int>`` exponent;
     ``check_name`` is the caller's alphabet check and raises ValueError.
     ``"1"`` alone denotes the empty word.  A word longer than
-    MAX_PARSED_LETTERS is refused before it is spelled out.
+    MAX_PARSED_LETTERS is refused before it is spelled out.  Each distinct
+    token is split and checked once per call; the length cap is checked
+    at every token.
     """
     text = text.strip()
     if text in ("", "1"):
         return []
     letters: list[Letter] = []
+    seen: dict[str, tuple[Letter, int]] = {}
     for token in text.split():
-        name, _, exp_text = token.partition("^")
-        if not name:
-            raise ValueError(f"malformed token {token!r}")
-        try:
-            exp = int(exp_text) if exp_text else 1
-        except ValueError:
-            raise ValueError(f"malformed exponent in token {token!r}") from None
-        if exp == 0:
-            raise ValueError(f"zero exponent in token {token!r}")
-        check_name(name)
-        if len(letters) + abs(exp) > MAX_PARSED_LETTERS:
+        parsed = seen.get(token)
+        if parsed is None:
+            name, _, exp_text = token.partition("^")
+            if not name:
+                raise ValueError(f"malformed token {token!r}")
+            try:
+                exp = int(exp_text) if exp_text else 1
+            except ValueError:
+                raise ValueError(f"malformed exponent in token {token!r}") from None
+            if exp == 0:
+                raise ValueError(f"zero exponent in token {token!r}")
+            check_name(name)
+            parsed = seen[token] = ((name, 1 if exp > 0 else -1), abs(exp))
+        letter, count = parsed
+        if len(letters) + count > MAX_PARSED_LETTERS:
             raise ValueError(f"word longer than {MAX_PARSED_LETTERS} letters at {token!r}")
-        letters.extend([(name, 1 if exp > 0 else -1)] * abs(exp))
+        if count == 1:
+            letters.append(letter)
+        else:
+            letters.extend([letter] * count)
     return letters
 
 

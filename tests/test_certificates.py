@@ -65,6 +65,17 @@ def test_tenth_power_two_certified_factors():
     assert cert.report.value_preserving()
 
 
+def test_tenth_power_script_is_built_once_and_replayed_on_every_call():
+    first = tenth_power_certificate(CFG)
+    broken = tenth_power_certificate(CFG.without_chain_relations())
+    again = tenth_power_certificate()
+    assert first.script is broken.script is again.script
+    assert first.expression is again.expression
+    # the shared script is re-checked against each caller's configuration
+    assert first.certified and again.certified and not broken.certified
+    assert first.report is not again.report and first.report == again.report
+
+
 def test_tenth_power_fails_without_chain_relation():
     cert = tenth_power_certificate(CFG.without_chain_relations())
     assert not cert.certified

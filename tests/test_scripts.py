@@ -167,3 +167,24 @@ def test_script_text_format_is_locked():
     assert lines[1] == "step free-insert @0 t2^-1"
     assert lines[-1] == "claim t1 t_alpha t2^4 t1 t2^-1 t_beta t2^-1 t2^6"
     assert sum(1 for l in lines if l.startswith("step ")) == 20
+
+
+def test_mapping_declared_in_a_script_is_valid_step_data():
+    # g, g^1 and g^-1 all name the mapping symbol that the map line adds
+    text = (
+        "map g a4->a1 alpha->a5\n"
+        "let source = t4\n"
+        "step twist-naturality @0 g^-1\n"  # g^-1 t1 g
+        "step twist-naturality @0 g^1\n"   # t4
+        "step free-insert @1 g^-1\n"       # t4 g^-1 g
+        "step free-cancel @1\n"
+        "step free-insert @0 g\n"          # g g^-1 t4
+        "step twist-naturality @0 g\n"     # refused: g sends nothing to g^-1's curve
+        "claim t4\n"
+    )
+    script, cfg = parse_script(text, CFG)
+    report = check_script(script, cfg)
+    assert [r.word for r in report.records[:5]] == [
+        cfg.word(w) for w in ("g^-1 t1 g", "t4", "t4 g^-1 g", "t4", "g g^-1 t4")
+    ]
+    assert report.failure == (5, "@0: need g ... g^-1 around a twist")

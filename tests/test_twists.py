@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -126,7 +127,7 @@ def test_chain_substitute_inverse_side():
 
 
 def test_chain_substitute_without_relation():
-    with pytest.raises(UnregisteredRelation):
+    with pytest.raises(UnregisteredRelation, match="^@0: no chain relation is registered$"):
         apply_move(W("t4 t5"), "chain-substitute", 0, CFG.without_chain_relations())
 
 
@@ -258,3 +259,149 @@ def test_invert_steps_round_trip():
     for step in inverses:
         word = apply_step(word, step, CFG)
     assert word == W("t4 t5")
+
+
+# ---------------------------------------------------------------------------
+# configuration tables and failure texts
+# ---------------------------------------------------------------------------
+
+G = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
+CFG_G = CFG.with_mapping(G)
+PUBLIC_FIELDS = (
+    "curves", "twist_of_curve", "braid_pairs", "disjoint_pairs", "chain_relations",
+    "definitions", "mappings", "curve_of_twist",
+)
+
+
+def test_configuration_repr_and_equality_show_only_public_fields():
+    assert default_configuration() == default_configuration()
+    assert CFG_G != CFG and CFG.without_chain_relations() != CFG
+    for cfg in (CFG, CFG_G):
+        fields = ", ".join(f"{name}={getattr(cfg, name)!r}" for name in PUBLIC_FIELDS)
+        assert repr(cfg) == f"CurveConfiguration({fields})"
+    shown = [f.name for f in dataclasses.fields(CFG) if f.repr or f.compare]
+    assert shown == list(PUBLIC_FIELDS)
+
+
+def test_configuration_tables_follow_replace():
+    chain = Step("chain-substitute", 0)
+    assert apply_step(W("t4 t5"), chain, CFG_G) == W("t1 t2 t3 t1 t2 t3 t1 t2 t3 t1 t2 t3")
+    with pytest.raises(UnregisteredRelation) as err:
+        apply_step(W("t4 t5"), chain, CFG_G.without_chain_relations())
+    assert err.value.reason == "no chain relation is registered"
+    # a mapping declared later becomes valid step data in every spelling
+    for data in ("g", "g^1", "g^-1"):
+        with pytest.raises(MoveError, match="unknown symbol 'g'"):
+            apply_step(W("t1"), Step("free-insert", 0, data), CFG)
+        inserted = apply_step(W("t1"), Step("free-insert", 0, data), CFG_G)
+        sign = -1 if data == "g^-1" else 1
+        assert inserted.symbols == (("g", sign), ("g", -sign), ("t1", 1))
+    # a braid pair naming a curve without a twist symbol registers nothing
+    odd = dataclasses.replace(
+        CFG, curves=CFG.curves | {"a6"},
+        braid_pairs=CFG.braid_pairs | {frozenset(("a1", "a6"))},
+    ).with_mapping(MappingSymbol("m", (("a1", "a6"),)))
+    assert apply_step(W("t1 t2 t1"), Step("braid", 0), odd) == W("t2 t1 t2")
+    with pytest.raises(PatternMismatch) as err:
+        apply_step(odd.word("t1 m t1"), Step("braid", 0), odd)
+    assert err.value.reason == "braid applies to two distinct twists"
+
+
+# Every raise in the move functions, with the exact reason it reports.
+FAILURES = [
+    ("t1", Step("free-insert", 2, "t2"), PatternMismatch, "insertion point outside the word"),
+    ("t1", Step("free-insert", 0, "t2^x"), MoveError, "malformed exponent in token 't2^x'"),
+    ("t1", Step("free-insert", 0, "t2^2"), MoveError, "step data must be one symbol, got 't2^2'"),
+    ("t1", Step("free-insert", 0, "q"), MoveError, "unknown symbol 'q'"),
+    ("t1", Step("free-insert", 0, "t1 t2"),
+     MoveError, "step data must be one symbol, got 't1 t2'"),
+    ("t1", Step("free-cancel", 0),
+     PatternMismatch, "free-cancel needs 2 symbols at this position"),
+    ("t1 t2", Step("free-cancel", 0),
+     PatternMismatch, "('t1', 1) ('t2', 1) is not an inverse pair"),
+    ("t1 t2 t2", Step("braid", 0), PatternMismatch, "braid needs s t s with a uniform sign"),
+    ("t1 t1 t1", Step("braid", 0), PatternMismatch, "braid applies to two distinct twists"),
+    ("t1 g t1", Step("braid", 0), PatternMismatch, "braid applies to two distinct twists"),
+    ("t1 t3 t1", Step("braid", 0),
+     UnregisteredRelation, "{'a1', 'a3'} is not a registered braid pair"),
+    ("t3 t1 t3", Step("braid", 0),
+     UnregisteredRelation, "{'a1', 'a3'} is not a registered braid pair"),
+    ("t2 t2", Step("commute", 0), PatternMismatch, "commute applies to two distinct twists"),
+    ("g t2", Step("commute", 0), PatternMismatch, "commute applies to two distinct twists"),
+    ("t1 t2", Step("commute", 0),
+     UnregisteredRelation, "{'a1', 'a2'} is not a registered disjoint pair"),
+    ("t3 t2", Step("commute", 0),
+     UnregisteredRelation, "{'a2', 'a3'} is not a registered disjoint pair"),
+    ("t_alpha t1", Step("commute", 0),
+     UnregisteredRelation, "{'a1', 'alpha'} is not a registered disjoint pair"),
+    ("t1", Step("commute", 1), PatternMismatch, "commute needs 2 symbols at this position"),
+    ("t4 t1", Step("chain-substitute", 0), PatternMismatch, "no chain relation side matches here"),
+    ("t4 t5", Step("chain-substitute", 1), PatternMismatch, "no chain relation side matches here"),
+    ("t2", Step("definition-substitute", 0, "gamma"),
+     UnregisteredRelation, "'gamma' has no registered definition"),
+    ("t2", Step("definition-substitute", 0, "alpha"),
+     PatternMismatch, "neither t_alpha nor its expansion matches here"),
+    ("t2 t2 t3 t2^-1", Step("definition-substitute", 0, "alpha"),
+     PatternMismatch, "neither t_alpha nor its expansion matches here"),
+    ("t1", Step("conjugate-equation", 0, "q"), MoveError, "unknown symbol 'q'"),
+    ("t1", Step("conjugate-equation", 0, "t2^0"), MoveError, "zero exponent in token 't2^0'"),
+    ("t1", Step("twist-naturality", 0, "t1"),
+     UnregisteredRelation, "'t1' is not a declared mapping symbol"),
+    ("t1", Step("twist-naturality", 0, "g^2"),
+     MoveError, "step data must be one symbol, got 'g^2'"),
+    ("g t4 g", Step("twist-naturality", 0, "g"),
+     PatternMismatch, "need g ... g^-1 around a twist"),
+    ("g", Step("twist-naturality", 0, "g"),
+     PatternMismatch, "twist-naturality needs 3 symbols at this position"),
+    ("g g g^-1", Step("twist-naturality", 0, "g"), PatternMismatch, "'g' is not a twist symbol"),
+    ("g t2 g^-1", Step("twist-naturality", 0, "g"),
+     UnregisteredRelation, "mapping 'g' does not determine the image of 'a2'"),
+    ("t2", Step("twist-naturality", 0, "g"),
+     UnregisteredRelation, "mapping 'g' does not reach 'a2' in this direction"),
+    ("t1", Step("twist-naturality", 1, "g"),
+     PatternMismatch, "twist-naturality needs a mapping symbol or twist here"),
+]
+
+
+@pytest.mark.parametrize("word, step, error, reason", FAILURES, ids=[
+    f"{step.move}@{step.position}:{word}:{step.data}" for word, step, _, _ in FAILURES
+])
+def test_move_failure_text_is_locked(word, step, error, reason):
+    with pytest.raises(MoveError) as err:
+        apply_step(CFG_G.word(word), step, CFG_G)
+    assert type(err.value) is error
+    assert (err.value.position, err.value.reason) == (step.position, reason)
+    assert str(err.value) == f"@{step.position}: {reason}"
+
+
+def test_explicit_plus_exponent_falls_outside_the_token_table():
+    for data in ("t2^+1", "t2^1", "t2"):
+        assert apply_step(W("t1"), Step("free-insert", 1, data), CFG) == W("t1 t2 t2^-1")
+    g_plus = apply_step(CFG_G.word("t1"), Step("twist-naturality", 0, "g^+1"), CFG_G)
+    assert g_plus == CFG_G.word("g t4 g^-1")
+
+
+def test_free_cancel_inverse_spells_each_symbol_as_the_printer_does():
+    for name in (*CFG_G.curve_of_twist, *CFG_G.mappings):
+        for sign in (1, -1):
+            word = TwistWord([(name, sign), (name, -sign)])
+            inverse = inverse_step(word, Step("free-cancel", 0), CFG_G)
+            assert inverse == Step("free-insert", 0, str(TwistWord([(name, sign)])))
+    # a symbol outside the alphabet is still spelled by the printer
+    stray = TwistWord([("zz", -1), ("zz", 1)])
+    assert inverse_step(stray, Step("free-cancel", 0), CFG) == Step("free-insert", 0, "zz^-1")
+
+
+def test_step_data_for_odd_mapping_names_is_read_as_the_parser_reads_it():
+    # `map` lines accept any name; the token table must not read these
+    # spellings differently from parse_letters
+    odd = CFG.with_mapping(MappingSymbol("1", (("a1", "a2"),))).with_mapping(
+        MappingSymbol("m^2", (("a2", "a1"),)))
+    for data, reason in (
+        ("1", "step data must be one symbol, got '1'"),
+        ("m^2", "unknown symbol 'm'"),
+        ("m^2^1", "malformed exponent in token 'm^2^1'"),
+    ):
+        with pytest.raises(MoveError) as err:
+            apply_step(W("t1"), Step("free-insert", 0, data), odd)
+        assert err.value.reason == reason

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from twistscl.words import (
+    MAX_PARSED_LETTERS,
     Word,
     commutator,
     free_reduce,
     generators,
     multiply,
+    parse_letters,
     parse_word,
     substitute,
 )
@@ -217,3 +219,34 @@ def test_substitute_matches_full_reduction():
         )
         seen["both signs"] += all({(g, 1), (g, -1)} <= set(w.letters) for g in "abc")
     assert min(seen.values()) >= 50, seen
+
+
+def _checker(alphabet, seen):
+    def check(name):
+        seen.append(name)
+        if name not in alphabet:
+            raise ValueError(f"unknown symbol {name!r}")
+    return check
+
+
+def test_parse_letters_checks_each_distinct_token_once():
+    seen = []
+    letters = parse_letters("t2 t1^-1 t2 t2 t1^-1 t1", _checker({"t1", "t2"}, seen))
+    assert letters == [("t2", 1), ("t1", -1), ("t2", 1), ("t2", 1), ("t1", -1), ("t1", 1)]
+    assert seen == ["t2", "t1", "t1"]  # one check per distinct token text
+
+
+def test_parse_letters_keeps_per_token_semantics():
+    check = _checker({"t1", "t2"}, [])
+    # the first bad token is named, after a repeated good one
+    with pytest.raises(ValueError, match=r"^unknown symbol 'q'$"):
+        parse_letters("t1 t1 q t1", check)
+    # the cap is checked at every token, also at a repeated one
+    half = MAX_PARSED_LETTERS * 6 // 10
+    with pytest.raises(ValueError) as err:
+        parse_letters(f"t2^{half} t2^{half}", check)
+    assert str(err.value) == f"word longer than {MAX_PARSED_LETTERS} letters at 't2^{half}'"
+    assert len(parse_letters(f"t2^{half}", check)) == half
+    # equal letters from different spellings
+    assert parse_letters("t2 t2^1 t2^+1", check) == [("t2", 1)] * 3
+    assert parse_letters("t2^-2 t2^-2", check) == [("t2", -1)] * 4
