@@ -11,7 +11,9 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import cl_upper
-from .words import Word, commutator, inverse_letters, multiply, parse_word, substitute
+from .words import (
+    Word, commutator, inverse_letters, join_all, multiply, parse_word, substitute,
+)
 
 
 class ExpansionNotFound(Exception):
@@ -36,7 +38,13 @@ class CommutatorExpression(NamedTuple):
     target: Word
 
     def value(self) -> Word:
-        return multiply(*(f.value() for f in self.factors))
+        # Each factor spells c l r l^-1 r^-1 c^-1: six reduced pieces, all
+        # folded into one reduction pass.
+        pieces = []
+        for c, l, r in self.factors:
+            c, l, r = c.letters, l.letters, r.letters
+            pieces += (c, l, r, inverse_letters(l), inverse_letters(r), inverse_letters(c))
+        return Word._raw(join_all(pieces))
 
     def factor_count(self) -> int:
         return len(self.factors)
@@ -81,17 +89,19 @@ def as_commutator(w: Word) -> Optional[tuple[Word, Word]]:
     h = n // 2
 
     doubled = core + core
+    # window[a:b] inverted is flipped[e - b : e - a], with e = 2n - rot.
+    flipped = inverse_letters(doubled)
     for rot in range(n):
         window = doubled[rot : rot + n]
+        e = 2 * n - rot
         # d^-1 * core-rotation: core = d * window * d^-1 with d = core[:rot].
         for x in range(h + 1):
-            if window[h : h + x] != inverse_letters(window[0:x]):
+            if window[h : h + x] != flipped[e - x : e]:
                 continue
             for y in range(h - x + 1):
-                z = h - x - y
-                if window[h + x : h + x + y] != inverse_letters(window[x : x + y]):
+                if window[h + x : h + x + y] != flipped[e - x - y : e - x]:
                     continue
-                if window[h + x + y : n] != inverse_letters(window[x + y : h]):
+                if window[h + x + y : n] != flipped[e - h : e - x - y]:
                     continue
                 conj = g * Word._raw(core[:rot])
                 p = Word._raw(window[0 : x + y]).conjugate(conj)

@@ -18,6 +18,7 @@ power works out to.  The split between the two is a convention.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .twists import CurveConfiguration, TwistWord, default_configuration
@@ -141,13 +142,19 @@ def twist_automorphism(curve: str, sign: int = 1) -> Automorphism:
         ) from None
 
 
+@cache
+def _default_config() -> CurveConfiguration:
+    """The default configuration, built once per process and used only here."""
+    return default_configuration()
+
+
 def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Automorphism:
     """Compose twist automorphisms; the last symbol of ``w`` acts first.
 
     Twist symbols for defined curves (alpha, beta) are expanded through
     their defining conjugates.  Mapping symbols have no model and raise.
     """
-    config = config or default_configuration()
+    config = config or _default_config()
     out = _IDENTITY
     defined: dict[tuple[str, int], Automorphism] = {}
     for name, sign in w.symbols:
@@ -218,7 +225,7 @@ def _is_unipotent_transvection(m: tuple[tuple[int, ...], ...]) -> bool:
 
 def validate_model(config: Optional[CurveConfiguration] = None) -> ModelReport:
     """Check every registered relation of the configuration in the model."""
-    config = config or default_configuration()
+    config = config or _default_config()
     checks: list[RelationCheck] = []
     word = lambda text: TwistWord.parse(text, config)
 

@@ -1,6 +1,6 @@
 """Free-group words over named generators, and the one implementation
 of every job on signed-letter sequences: full reduction, seam-only
-product, inversion, parsing, printing and substitution.  The raw
+products, inversion, parsing, printing and substitution.  The raw
 ``TwistWord`` of the twist layer uses the same routines over a larger
 alphabet.
 
@@ -44,9 +44,25 @@ def join_reduced(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, 
     return a[:i] + b[j:]
 
 
+def join_all(pieces: Iterable[tuple[Letter, ...]]) -> tuple[Letter, ...]:
+    """The reduced product of reduced letter tuples, in one pass.
+
+    Only seams can cancel (possibly through whole pieces), so the cost is
+    linear in the letters read and written plus the cancellations.
+    """
+    out: list[Letter] = []
+    for img in pieces:
+        j, n = 0, len(img)
+        while j < n and out and out[-1][0] == img[j][0] and out[-1][1] == -img[j][1]:
+            out.pop()
+            j += 1
+        out.extend(img[j:] if j else img)
+    return tuple(out)
+
+
 def inverse_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     """Reverse the sequence and flip every sign."""
-    return tuple((n, -s) for n, s in reversed(letters))
+    return tuple([(n, -s) for n, s in reversed(letters)])
 
 
 def format_letters(letters: Sequence[Letter]) -> str:
@@ -212,21 +228,17 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     image); the cost is linear in the letters read and written plus the
     cancellations.
     """
-    out: list[Letter] = []
+    pieces: list[tuple[Letter, ...]] = []
     inverses: dict[str, tuple[Letter, ...]] = {}
     for name, sign in w.letters:
         if sign > 0:
-            img = images[name].letters
+            pieces.append(images[name].letters)
         else:
             img = inverses.get(name)
             if img is None:
                 img = inverses[name] = inverse_letters(images[name].letters)
-        j, n = 0, len(img)
-        while j < n and out and out[-1][0] == img[j][0] and out[-1][1] == -img[j][1]:
-            out.pop()
-            j += 1
-        out.extend(img[j:])
-    return Word._raw(tuple(out))
+            pieces.append(img)
+    return Word._raw(join_all(pieces))
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -235,7 +247,4 @@ def commutator(a: Word, b: Word) -> Word:
 
 
 def multiply(*words: Word) -> Word:
-    out = Word.identity()
-    for w in words:
-        out = out * w
-    return out
+    return Word._raw(join_all(w.letters for w in words))

@@ -257,3 +257,81 @@ def test_bavard_rejects_bad_input():
         bavard_expand(_pairs(2), 0)
     with pytest.raises(ValueError):
         bavard_expand([], 3)
+
+
+# ---------------------------------------------------------------------------
+# One-pass values and slice-compared search give the same answers
+# ---------------------------------------------------------------------------
+
+def _rebuilding_as_commutator(w):
+    """Reference search: the same scan, rebuilding every inverse slice."""
+    inv = lambda s: tuple((name, -sign) for name, sign in reversed(s))
+    letters, i = w.letters, 0
+    while len(letters) - 2 * i >= 2 and letters[-1 - i] == (letters[i][0], -letters[i][1]):
+        i += 1
+    g, core = Word(letters[:i]), letters[i : len(letters) - i]
+    if not core:
+        return Word.identity(), Word.identity()
+    n = len(core)
+    if n % 2:
+        return None
+    h = n // 2
+    doubled = core + core
+    for rot in range(n):
+        window = doubled[rot : rot + n]
+        for x in range(h + 1):
+            if window[h : h + x] != inv(window[0:x]):
+                continue
+            for y in range(h - x + 1):
+                if window[h + x : h + x + y] != inv(window[x : x + y]):
+                    continue
+                if window[h + x + y : n] != inv(window[x + y : h]):
+                    continue
+                conj = g * Word(core[:rot])
+                p = Word(window[0 : x + y]).conjugate(conj)
+                q = (Word(window[x + y : h]) * ~Word(window[0:x])).conjugate(conj)
+                if commutator(p, q) == w:
+                    return p, q
+    return None
+
+
+def test_expression_value_is_the_product_of_factor_values():
+    rng = random.Random(20261020)
+    names = ("a", "b", "c")
+    exprs = [
+        culler_expand(random_word(rng, rng.randint(1, 4), names),
+                      random_word(rng, rng.randint(1, 4), names), k)
+        for k in range(1, 43)
+    ]
+    exprs += [
+        bavard_expand([(random_word(rng, rng.randint(1, 3), names),
+                        random_word(rng, rng.randint(1, 3), names)) for _ in range(r)], k)
+        for r in range(2, 9)
+        for k in range(1, 13)
+    ]
+    for expr in exprs:
+        fold = Word.identity()
+        for f in expr.factors:
+            fold = fold * f.value()
+        assert expr.value().letters == fold.letters
+
+
+def test_as_commutator_answers_match_the_rebuilding_search():
+    rng = random.Random(20261021)
+    words = [w for w in all_reduced_words("xy", 6) if len(w) % 2 == 0]
+    found = 0
+    while len(words) < 1093 + 300:
+        if rng.random() < 0.5:
+            p = random_word(rng, rng.randint(1, 5), "xyz")
+            q = random_word(rng, rng.randint(1, 5), "xyz")
+            w = commutator(p, q).conjugate(random_word(rng, rng.randint(0, 2), "xyz"))
+        else:
+            w = random_word(rng, rng.randint(8, 16), "xyz")
+        if 8 <= len(w) <= 16:
+            words.append(w)
+    for w in words:
+        got, want = as_commutator(w), _rebuilding_as_commutator(w)
+        assert repr(got) == repr(want), str(w)
+        found += got is not None
+    # Both answers are exercised: found pairs and genuine refusals.
+    assert found >= 150 and len(words) - found >= 500, found

@@ -12,7 +12,12 @@ from twistscl.pi1 import (
     twist_automorphism,
     validate_model,
 )
-from twistscl.twists import MappingSymbol, TwistWord, default_configuration
+from twistscl.twists import (
+    CurveConfiguration,
+    MappingSymbol,
+    TwistWord,
+    default_configuration,
+)
 from twistscl.words import Word, parse_word
 
 CFG = default_configuration()
@@ -189,3 +194,21 @@ def test_evaluate_matches_a_reference_fold():
 
 def test_evaluate_baseline_image_length():
     assert len(evaluate(W("t2^20 t_alpha^10 t1^-20"), CFG).images["y"]) == 9391
+
+
+def test_default_configuration_is_built_at_most_once(monkeypatch):
+    w = W("t1 t2 t_alpha^-1 t_beta")
+    built = []
+    post_init = CurveConfiguration.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CurveConfiguration, "__post_init__", counting)
+    for _ in range(3):
+        assert evaluate(w) == evaluate(w, CFG)
+        assert equal_in_rep(w, w)
+        assert validate_model().passed
+    assert len(built) <= 1
+    assert evaluate(w) == evaluate(w, default_configuration())

@@ -8,6 +8,7 @@ from twistscl.words import (
     commutator,
     free_reduce,
     generators,
+    join_all,
     multiply,
     parse_letters,
     parse_word,
@@ -219,6 +220,52 @@ def test_substitute_matches_full_reduction():
         )
         seen["both signs"] += all({(g, 1), (g, -1)} <= set(w.letters) for g in "abc")
     assert min(seen.values()) >= 50, seen
+
+
+def _seam_substitute(w, images):
+    """Reference: substitute letter by letter, cancelling at each seam."""
+    out = []
+    for name, sign in w.letters:
+        img = images[name].letters if sign > 0 else (~images[name]).letters
+        j = 0
+        while j < len(img) and out and out[-1] == (img[j][0], -img[j][1]):
+            out.pop()
+            j += 1
+        out.extend(img[j:])
+    return tuple(out)
+
+
+def test_join_all_matches_full_reduction():
+    """Folding reduced pieces in one pass equals reducing their concatenation."""
+    rng = random.Random(20261019)
+    seen = {"empty piece": 0, "cancels all so far": 0, "inverse chain": 0}
+    for _ in range(600):
+        words, so_far = [], Word.identity()
+        for _ in range(rng.randint(0, 12)):
+            roll = rng.random()
+            if roll < 0.15:
+                piece = Word.identity()
+                seen["empty piece"] += 1
+            elif roll < 0.3 and so_far.letters:
+                # Cancels everything joined so far, then maybe goes on.
+                piece = ~so_far * Word(random_letters(rng, rng.randint(0, 3), "abc"))
+                seen["cancels all so far"] += 1
+            elif roll < 0.45 and words:
+                piece = ~words[-1]
+                seen["inverse chain"] += 1
+            else:
+                piece = Word(random_letters(rng, rng.randint(0, 6), "abc"))
+            words.append(piece)
+            so_far = so_far * piece
+        flat = [letter for w in words for letter in w.letters]
+        assert join_all([w.letters for w in words]) == free_reduce(flat)
+        assert multiply(*words).letters == so_far.letters
+
+        pool = words or [Word.identity()]
+        images = {g: rng.choice(pool) for g in "abc"}
+        w = Word(random_letters(rng, rng.randint(0, 12), "abc"))
+        assert substitute(w, images).letters == _seam_substitute(w, images)
+    assert min(seen.values()) >= 200, seen
 
 
 def _checker(alphabet, seen):
