@@ -17,9 +17,9 @@ from typing import Any, Optional
 
 from . import bounds as bounds_mod
 from . import fibration
-from .commutators import ExpansionNotFound, bavard_expand, culler_expand
+from .commutators import ExpansionNotFound, _admit, bavard_expand, culler_expand
 from .certificates import boundary_pair_script, tenth_power_certificate
-from .pi1 import equal_in_rep, validate_model
+from .pi1 import DISPLAYED_EQUALITY, equal_in_rep, validate_model
 from .scripts import ScriptSyntaxError, check_script, parse_script
 from .twists import default_configuration
 from .words import Word
@@ -90,11 +90,8 @@ def _cmd_verify(args) -> list[Report]:
     # in the representation, then certify the two-commutator expression.
     script = boundary_pair_script(config)
     replay = check_script(script, config)
-    displayed = equal_in_rep(
-        config.word("t4 t_alpha^-1 t5 t1^-1"),
-        config.word("t2^4 t1 t2^-1 t_beta t2^-1 t2^6"),
-        config,
-    )
+    lhs, rhs = (config.word(text) for text in DISPLAYED_EQUALITY)
+    displayed = equal_in_rep(lhs, rhs, config)
     cert = tenth_power_certificate(config)
     ok = replay.accepted and displayed and cert.certified
     details = {
@@ -146,36 +143,29 @@ def _cmd_check_script(args) -> list[Report]:
 
 
 def _cmd_expand(args) -> list[Report]:
-    if args.mode == "culler":
-        command = "expand culler"
-        u, v = Word.generator("u"), Word.generator("v")
-        try:
-            expr = culler_expand(u, v, args.k)
-        except (ValueError, ExpansionNotFound) as err:
-            return [Report(command, "refused", {"error": str(err)})]
-        details = {
-            "k": args.k,
-            "factor_count": expr.factor_count(),
-            "expected_count": bounds_mod.cl_upper(1, args.k),
-            "verified": True,
-        }
-    else:
-        command = "expand bavard"
-        pairs = [
-            (Word.generator(f"u{i}"), Word.generator(f"v{i}"))
-            for i in range(1, args.r + 1)
-        ]
-        try:
+    command = f"expand {args.mode}"
+    r = args.r if args.mode == "bavard" else 1
+    try:
+        if args.mode == "culler":
+            expr = culler_expand(Word.generator("u"), Word.generator("v"), args.k)
+        else:
+            # Refuse an oversized request before building its 2r generators.
+            _admit(r, args.k)
+            pairs = [
+                (Word.generator(f"u{i}"), Word.generator(f"v{i}"))
+                for i in range(1, r + 1)
+            ]
             expr = bavard_expand(pairs, args.k)
-        except (ValueError, ExpansionNotFound) as err:
-            return [Report(command, "refused", {"error": str(err)})]
-        details = {
-            "r": args.r,
-            "k": args.k,
-            "factor_count": expr.factor_count(),
-            "expected_count": bounds_mod.cl_upper(args.r, args.k),
-            "verified": True,
-        }
+    except (ValueError, ExpansionNotFound) as err:
+        return [Report(command, "refused", {"error": str(err)})]
+    details = {
+        "k": args.k,
+        "factor_count": expr.factor_count(),
+        "expected_count": bounds_mod.cl_upper(r, args.k),
+        "verified": True,
+    }
+    if args.mode == "bavard":
+        details["r"] = r
     certificate = _expression_payload(expr) if args.emit else None
     return [Report(command, "ok", details, certificate=certificate)]
 

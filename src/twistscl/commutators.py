@@ -1,13 +1,15 @@
 """Commutator certificates: expressions, verification, and expansions.
 
-Every expansion returned here carries its own certificate: the factors
-are multiplied out and freely reduced, and the result must equal the
-reduced target.  Nothing is trusted about how a factorization was
-produced, only that the checker accepts it.
+Every expansion returned here carries its own certificate: it is built
+uncertified, then checked once by ``_certified``, which multiplies the
+factors out, reduces, and compares the result with the reduced target.
+Nothing is trusted about how a factorization was produced, only that
+the checker accepts it.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import cl_upper
@@ -139,69 +141,79 @@ def shuffle_expand(u: Word, v: Word, k: int) -> list[Word]:
 # chains J_1..J_m with that property were found by a graph search over
 # short null-homologous junctions (edges decided by as_commutator); the
 # resulting factor pairs are frozen in data/culler_witnesses.json for
-# odd k up to 41 and re-certified on every call.  Substituting any u, v
-# for x, y preserves the identity, so one witness serves every alphabet.
-# Even k reduces to k-1 with one extra [u,v] factor.  Beyond the frozen
-# table the expansion is refused at once.
+# odd k up to 41.  Substituting any u, v for x, y preserves the
+# identity, so one witness serves every alphabet.  Even k reduces to k-1
+# with one extra [u,v] factor.  Beyond the frozen table the expansion is
+# refused at once.
 
-_CULLER_X = Word.generator("x")
-_CULLER_Y = Word.generator("y")
+MAX_EXPANSION_FACTORS = 10_000
+
+_CULLER_XY = ((Word.generator("x"), Word.generator("y")),)  # [x,y] itself: the m = 0 witness
 
 
+@cache
 def _load_witnesses() -> dict[int, list[tuple[Word, Word]]]:
     import json
     from importlib import resources
 
-    raw = json.loads(
-        resources.files("twistscl").joinpath("data/culler_witnesses.json").read_text()
-    )
+    path = resources.files("twistscl").joinpath("data/culler_witnesses.json")
+    raw = json.loads(path.read_text())
     return {
         int(k): [(parse_word(p), parse_word(q)) for p, q in pairs]
         for k, pairs in raw.items()
     }
 
 
-_WITNESSES: dict[int, list[tuple[Word, Word]]] = {}
+def _witnesses(k: int) -> Sequence[tuple[Word, Word]]:
+    """Factor pairs over x, y for [x,y]^n, n the odd one of k and k-1."""
+    n = k - 1 + k % 2
+    if n == 1:
+        return _CULLER_XY
+    table = _load_witnesses()
+    if n not in table:
+        raise ExpansionNotFound(f"no certified witness for k={n}; the frozen table "
+                                f"covers odd k <= {max(table)}")
+    return table[n]
 
 
-def _odd_power_factors(m: int) -> list[tuple[Word, Word]]:
-    """Certified factor pairs for [x,y]^(2m+1) as m+1 commutators."""
-    if m == 0:
-        return [(_CULLER_X, _CULLER_Y)]
-    if not _WITNESSES:
-        _WITNESSES.update(_load_witnesses())
-    k = 2 * m + 1
-    if k not in _WITNESSES:
-        raise ExpansionNotFound(
-            f"no certified witness for k={k}; the frozen table covers odd k <= "
-            f"{max(_WITNESSES)}"
-        )
-    return _WITNESSES[k]
+def _admit(r: int, k: int) -> None:
+    """Refuse r commutator pairs to the power k before any word is built."""
+    if k < 1:
+        raise ValueError(f"power must be >= 1, got {k}")
+    if r < 1:
+        raise ValueError("need at least one commutator pair")
+    _witnesses(k)
+    count = cl_upper(r, k)
+    if count > MAX_EXPANSION_FACTORS:
+        raise ValueError(f"r={r}, k={k} needs {count} factors, more than "
+                         f"MAX_EXPANSION_FACTORS = {MAX_EXPANSION_FACTORS}")
+
+
+def _culler_factors(u: Word, v: Word, k: int) -> list[tuple[Word, Word, Word]]:
+    """Uncertified factors of [u,v]^k: the witness for x, y with u, v substituted."""
+    images = {"x": u, "y": v}
+    one = Word.identity()
+    triples = [(one, substitute(p, images), substitute(q, images)) for p, q in _witnesses(k)]
+    if k % 2 == 0:
+        triples.append((one, u, v))
+    return triples
+
+
+def _certified(triples: list[tuple[Word, Word, Word]], target: Word, count: int,
+               label: str) -> CommutatorExpression:
+    """The expression of ``triples`` and ``target``, once it passes its checks."""
+    expr = expression(triples, target)
+    if not verify_expression(expr):
+        raise ExpansionNotFound(f"certification failed for {label}")
+    if expr.factor_count() != count:
+        raise ExpansionNotFound(f"wrong factor count for {label}")
+    return expr
 
 
 def culler_expand(u: Word, v: Word, k: int) -> CommutatorExpression:
     """Write ``[u,v]^k`` as a certified product of floor(k/2)+1 commutators."""
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
-    triples: list[tuple[Word, Word, Word]]
-    if k == 1:
-        triples = [(Word.identity(), u, v)]
-    else:
-        m, odd = divmod(k, 2)
-        images = {"x": u, "y": v}
-        one = Word.identity()
-        abstract = _odd_power_factors(m if odd else m - 1)
-        triples = [
-            (one, substitute(p, images), substitute(q, images)) for p, q in abstract
-        ]
-        if not odd:
-            triples.append((one, u, v))
-    expr = expression(triples, commutator(u, v) ** k)
-    if not verify_expression(expr):
-        raise ExpansionNotFound(f"certification failed for k={k}")
-    if expr.factor_count() != cl_upper(1, k):
-        raise ExpansionNotFound(f"wrong factor count for k={k}")
-    return expr
+    _admit(1, k)
+    return _certified(_culler_factors(u, v, k), commutator(u, v) ** k, cl_upper(1, k), f"k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,34 +225,20 @@ def bavard_expand(pairs: Sequence[tuple[Word, Word]], k: int) -> CommutatorExpre
 
     With u = [u1,v1] and v the product of the remaining commutators, the
     shuffle identity turns (u v)^k into k conjugates of v (each a product
-    of r-1 conjugated commutators) followed by u^k, which culler_expand
-    handles.
+    of r-1 conjugated commutators) followed by u^k, which Culler's
+    factors handle.  Oversized requests are refused before any word is built.
     """
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
-    if not pairs:
-        raise ValueError("need at least one commutator pair")
     r = len(pairs)
-    base = multiply(*(commutator(a, b) for a, b in pairs))
-    target = base ** k
-
+    _admit(r, k)
     if k == 1:
         triples = [(Word.identity(), a, b) for a, b in pairs]
-        expr = expression(triples, target)
-    elif r == 1:
-        expr = culler_expand(pairs[0][0], pairs[0][1], k)
     else:
-        u = commutator(pairs[0][0], pairs[0][1])
+        (a0, b0), rest = pairs[0], pairs[1:]
+        u = commutator(a0, b0)
         triples = []
         for i in range(1, k + 1):
             ui = u ** i
-            triples.extend((ui, a, b) for a, b in pairs[1:])
-        head = culler_expand(pairs[0][0], pairs[0][1], k)
-        triples.extend(head.factors)
-        expr = expression(triples, target)
-
-    if not verify_expression(expr):
-        raise ExpansionNotFound(f"certification failed for r={r}, k={k}")
-    if expr.factor_count() != cl_upper(r, k):
-        raise ExpansionNotFound(f"wrong factor count for r={r}, k={k}")
-    return expr
+            triples.extend((ui, a, b) for a, b in rest)
+        triples += _culler_factors(a0, b0, k)
+    base = multiply(*(commutator(a, b) for a, b in pairs))
+    return _certified(triples, base ** k, cl_upper(r, k), f"r={r}, k={k}")

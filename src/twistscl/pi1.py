@@ -101,6 +101,9 @@ def _aut(x_img: str, y_img: str, z_img: str) -> Automorphism:
 # Boundary class of the model: fixed by all three chain twists.
 BOUNDARY_CLASS = parse_word("z x^-1")
 
+# The paper's displayed equality t4 a^-1 t5 t1^-1 = t2^4 (t1 t2^-1 b t2^-1) t2^6.
+DISPLAYED_EQUALITY = ("t4 t_alpha^-1 t5 t1^-1", "t2^4 t1 t2^-1 t_beta t2^-1 t2^6")
+
 _TWISTS: dict[str, Automorphism] = {
     "a1": _aut("x", "y x", "z"),
     "a2": _aut("x y^-1", "y", "z y^-1"),
@@ -248,8 +251,7 @@ def validate_model(config: Optional[CurveConfiguration] = None) -> ModelReport:
         ok = equal_in_rep(left, right, config)
         check(f"chain {left} = {right}", ok)
 
-    lhs = word("t4 t_alpha^-1 t5 t1^-1")
-    rhs = word("t2^4 t1 t2^-1 t_beta t2^-1 t2^6")
+    lhs, rhs = (word(text) for text in DISPLAYED_EQUALITY)
     check("displayed equality t4 a^-1 t5 t1^-1 = t2^4 (t1 t2^-1 b t2^-1) t2^6",
           equal_in_rep(lhs, rhs, config))
 

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from twistscl import cli
+from twistscl.commutators import MAX_EXPANSION_FACTORS
 from twistscl.fibration import MAX_MATRIX_SIZE
 from twistscl.words import MAX_PARSED_LETTERS
 
@@ -122,6 +124,22 @@ def test_expand_culler_beyond_table_is_refused():
     code, output = run_cli(["expand", "culler", "--k", "43", "--json"])
     assert code == 2
     assert "odd k <= 41" in json.loads(output)["details"]["error"]
+
+
+def test_expand_bavard_one_factor_above_the_budget_is_refused():
+    r = MAX_EXPANSION_FACTORS + 1
+    code, output = run_cli(["expand", "bavard", "--r", str(r), "--k", "1", "--json"])
+    assert code == 2
+    assert f"MAX_EXPANSION_FACTORS = {MAX_EXPANSION_FACTORS}" in json.loads(output)["details"]["error"]
+
+
+@pytest.mark.parametrize("r, k", [(1_000_000, 42), (2, 100_000_000)])
+def test_expand_bavard_oversized_is_refused_at_once(r, k):
+    start = time.perf_counter()
+    code, output = run_cli(["expand", "bavard", "--r", str(r), "--k", str(k), "--json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(output)["status"] == "refused"
 
 
 def test_matrix_beyond_the_cap_is_refused():

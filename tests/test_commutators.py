@@ -3,7 +3,9 @@ import random
 import pytest
 
 from twistscl.words import Word, commutator, generators, multiply, parse_word
+from twistscl.bounds import cl_upper
 from twistscl.commutators import (
+    MAX_EXPANSION_FACTORS,
     ExpansionNotFound,
     as_commutator,
     bavard_expand,
@@ -257,6 +259,58 @@ def test_bavard_rejects_bad_input():
         bavard_expand(_pairs(2), 0)
     with pytest.raises(ValueError):
         bavard_expand([], 3)
+
+
+def test_bavard_with_one_pair_is_culler():
+    rng = random.Random(8)
+    for k in range(1, 43):
+        u, v = random_word(rng, 3), random_word(rng, 3)
+        assert repr(bavard_expand([(u, v)], k)) == repr(culler_expand(u, v, k)), k
+
+
+def test_expansions_certify_once(monkeypatch):
+    import twistscl.commutators as commutators
+
+    checked = []
+    real = commutators.verify_expression
+    monkeypatch.setattr(
+        commutators, "verify_expression", lambda expr: checked.append(expr) or real(expr)
+    )
+    expr = bavard_expand(_pairs(3), 5)
+    assert checked == [expr]
+    u, v = generators("u", "v")
+    expr = culler_expand(u, v, 7)
+    assert checked[1:] == [expr]
+
+
+def _no_words(*args):
+    raise AssertionError("a refusal must not build words")
+
+
+def test_bavard_refuses_one_factor_above_the_budget(monkeypatch):
+    import twistscl.commutators as commutators
+
+    pairs = _pairs(MAX_EXPANSION_FACTORS + 1)
+    assert cl_upper(len(pairs), 1) == MAX_EXPANSION_FACTORS + 1
+    assert bavard_expand(pairs[:-1], 1).factor_count() == MAX_EXPANSION_FACTORS
+
+    monkeypatch.setattr(commutators, "commutator", _no_words)
+    monkeypatch.setattr(commutators, "substitute", _no_words)
+    with pytest.raises(ValueError, match=f"MAX_EXPANSION_FACTORS = {MAX_EXPANSION_FACTORS}"):
+        bavard_expand(pairs, 1)
+    with pytest.raises(ValueError, match=f"MAX_EXPANSION_FACTORS = {MAX_EXPANSION_FACTORS}"):
+        bavard_expand(_pairs(1000), 42)
+
+
+def test_bavard_beyond_table_refuses_before_building_words(monkeypatch):
+    import twistscl.commutators as commutators
+
+    monkeypatch.setattr(commutators, "commutator", _no_words)
+    monkeypatch.setattr(commutators, "multiply", _no_words)
+    with pytest.raises(ExpansionNotFound, match="no certified witness for k=43; .* odd k <= 41"):
+        bavard_expand(_pairs(2), 43)
+    with pytest.raises(ExpansionNotFound, match="odd k <= 41"):
+        bavard_expand(_pairs(2), 10 ** 8)
 
 
 # ---------------------------------------------------------------------------
