@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-Every subcommand emits one or more reports.  With ``--json`` each report
-is one canonical JSON line (sorted keys, compact separators, rationals
-as "p/q" strings, no floats anywhere), so byte-identical round trips are
-guaranteed.  Exit status: 0 when every report is ok, 1 when any
-verification failed, 2 for refused or invalid input.
+Every subcommand prints one report.  With ``--json`` it is one canonical
+JSON line (sorted keys, compact separators, rationals as "p/q" strings,
+no floats anywhere), so byte-identical round trips are guaranteed.  Exit
+status: 0 ok, 1 a verification failed, 2 refused input.  Subcommands
+raise on input they refuse; ``main`` alone turns that into the
+``refused`` report.
 """
 
 from __future__ import annotations
@@ -12,15 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import bounds as bounds_mod
 from . import fibration
 from .commutators import ExpansionNotFound, _admit, bavard_expand, culler_expand
 from .certificates import boundary_pair_script, tenth_power_certificate
 from .pi1 import DISPLAYED_EQUALITY, equal_in_rep, validate_model
-from .scripts import ScriptSyntaxError, check_script, parse_script
+from .scripts import check_script, parse_script
 from .twists import default_configuration
 from .words import Word
 
@@ -30,14 +32,21 @@ def _rat(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-class Report:
-    def __init__(self, command: str, status: str, details: dict[str, Any],
-                 certificate: Optional[dict[str, Any]] = None):
-        assert status in ("ok", "fail", "refused")
-        self.command = command
-        self.status = status
-        self.details = details
-        self.certificate = certificate
+def _fields(result) -> dict[str, Any]:
+    """A library result dataclass as report details, Fractions as "p/q"."""
+    values = {field.name: getattr(result, field.name) for field in fields(result)}
+    return {k: _rat(v) if isinstance(v, Fraction) else v for k, v in values.items()}
+
+
+# A report's status decides the exit code; any other status is a bug.
+_EXIT_CODES = {"ok": 0, "fail": 1, "refused": 2}
+
+
+class Report(NamedTuple):
+    command: str
+    status: str
+    details: dict[str, Any]
+    certificate: Optional[dict[str, Any]] = None
 
     def to_json(self) -> str:
         payload: dict[str, Any] = {
@@ -58,6 +67,11 @@ class Report:
         return "\n".join(lines)
 
 
+# What a subcommand returns: its status, its details and an optional
+# certificate.  Refused input is raised, never returned.
+_Outcome = tuple[str, dict[str, Any], Optional[dict[str, Any]]]
+
+
 def _expression_payload(expr) -> dict[str, Any]:
     """Factor list for either word-level or twist-level expressions."""
     return {
@@ -73,7 +87,7 @@ def _expression_payload(expr) -> dict[str, Any]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> list[Report]:
+def _cmd_verify(args) -> _Outcome:
     config = default_configuration()
     if args.what == "relations":
         model = validate_model(config)
@@ -84,7 +98,7 @@ def _cmd_verify(args) -> list[Report]:
         }
         if not model.passed:
             details["first_failure"] = model.failures()[0].name
-        return [Report("verify relations", "ok" if model.passed else "fail", details)]
+        return "ok" if model.passed else "fail", details, None
 
     # tenth-power: replay the shipped script, check the displayed equality
     # in the representation, then certify the two-commutator expression.
@@ -106,22 +120,13 @@ def _cmd_verify(args) -> list[Report]:
         details["first_failure"] = {
             "step": replay.failure[0], "reason": replay.failure[1],
         }
-    return [Report(
-        "verify tenth-power", "ok" if ok else "fail", details,
-        certificate=_expression_payload(cert.expression),
-    )]
+    return "ok" if ok else "fail", details, _expression_payload(cert.expression)
 
 
-def _cmd_check_script(args) -> list[Report]:
-    try:
-        with open(args.file, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as err:
-        return [Report("check-script", "refused", {"error": str(err)})]
-    try:
-        script, cfg = parse_script(text, default_configuration())
-    except ScriptSyntaxError as err:
-        return [Report("check-script", "refused", {"error": str(err)})]
+def _cmd_check_script(args) -> _Outcome:
+    with open(args.file, encoding="utf-8") as f:
+        text = f.read()
+    script, cfg = parse_script(text, default_configuration())
     report = check_script(script, cfg)
     details: dict[str, Any] = {
         "file": args.file,
@@ -139,25 +144,21 @@ def _cmd_check_script(args) -> list[Report]:
         details["trace"] = [
             {"step": str(r.step), "word": str(r.word)} for r in report.records
         ]
-    return [Report("check-script", "ok" if report.accepted else "fail", details)]
+    return "ok" if report.accepted else "fail", details, None
 
 
-def _cmd_expand(args) -> list[Report]:
-    command = f"expand {args.mode}"
+def _cmd_expand(args) -> _Outcome:
     r = args.r if args.mode == "bavard" else 1
-    try:
-        if args.mode == "culler":
-            expr = culler_expand(Word.generator("u"), Word.generator("v"), args.k)
-        else:
-            # Refuse an oversized request before building its 2r generators.
-            _admit(r, args.k)
-            pairs = [
-                (Word.generator(f"u{i}"), Word.generator(f"v{i}"))
-                for i in range(1, r + 1)
-            ]
-            expr = bavard_expand(pairs, args.k)
-    except (ValueError, ExpansionNotFound) as err:
-        return [Report(command, "refused", {"error": str(err)})]
+    if args.mode == "culler":
+        expr = culler_expand(Word.generator("u"), Word.generator("v"), args.k)
+    else:
+        # Refuse an oversized request before building its 2r generators.
+        _admit(r, args.k)
+        pairs = [
+            (Word.generator(f"u{i}"), Word.generator(f"v{i}"))
+            for i in range(1, r + 1)
+        ]
+        expr = bavard_expand(pairs, args.k)
     details = {
         "k": args.k,
         "factor_count": expr.factor_count(),
@@ -166,45 +167,27 @@ def _cmd_expand(args) -> list[Report]:
     }
     if args.mode == "bavard":
         details["r"] = r
-    certificate = _expression_payload(expr) if args.emit else None
-    return [Report(command, "ok", details, certificate=certificate)]
+    return "ok", details, _expression_payload(expr) if args.emit else None
 
 
-def _cmd_bounds(args) -> list[Report]:
-    try:
-        spec = bounds_mod.SurfaceSpec(
-            genus=args.genus, punctures=args.punctures, boundary=args.boundary,
-            curve=args.curve, side_genus=args.side_genus,
-        )
-        report = bounds_mod.bound_report(spec)
-    except (ValueError, bounds_mod.OutOfHypotheses) as err:
-        return [Report("bounds", "refused", {"error": str(err)})]
-    details = {
-        "genus": args.genus,
-        "punctures": args.punctures,
-        "boundary": args.boundary,
-        "curve": args.curve,
-        "element": report.element,
-        "lower": _rat(report.lower) if report.lower is not None else None,
-        "upper": _rat(report.upper) if report.upper is not None else None,
-        "commutator_power_threshold": report.commutator_power_threshold,
-        "positive": report.positive,
-    }
-    if args.side_genus is not None:
-        details["side_genus"] = args.side_genus
-    return [Report("bounds", "ok", details)]
+def _cmd_bounds(args) -> _Outcome:
+    spec = bounds_mod.SurfaceSpec(
+        genus=args.genus, punctures=args.punctures, boundary=args.boundary,
+        curve=args.curve, side_genus=args.side_genus,
+    )
+    details = {**_fields(spec), **_fields(bounds_mod.bound_report(spec))}
+    if details["side_genus"] is None:
+        del details["side_genus"]
+    return "ok", details, None
 
 
-def _cmd_numerology(args) -> list[Report]:
+def _cmd_numerology(args) -> _Outcome:
     try:
         r = Fraction(args.r)
     except (ValueError, ZeroDivisionError):
-        return [Report("numerology", "refused", {"error": f"bad rational {args.r!r}"})]
+        raise ValueError(f"bad rational {args.r!r}") from None
     if args.find_n:
-        try:
-            found = fibration.find_contradiction_n(args.genus, r)
-        except ValueError as err:
-            return [Report("numerology", "refused", {"error": str(err)})]
+        found = fibration.find_contradiction_n(args.genus, r)
         details: dict[str, Any] = {
             "genus": args.genus,
             "r": _rat(r),
@@ -214,43 +197,23 @@ def _cmd_numerology(args) -> list[Report]:
         if found.n is not None:
             inv = fibration.invariants_report(args.genus, r, found.n)
             details["contradiction_value"] = inv.contradiction_value
-        return [Report("numerology", "ok", details)]
-    try:
-        inv = fibration.invariants_report(args.genus, r, args.n)
-    except ValueError as err:
-        return [Report("numerology", "refused", {"error": str(err)})]
-    details = {
-        "genus": inv.genus,
-        "r": _rat(inv.ratio),
-        "n": inv.n,
-        "rn": inv.rn,
-        "chi": inv.chi,
-        "b1_upper": inv.b1_upper,
-        "b2minus_lower": inv.b2minus_lower,
-        "b2plus_upper": inv.b2plus_upper,
-        "b2_upper_via_chi": inv.b2_upper_via_chi,
-        "sigma_upper": inv.sigma_upper,
-        "c1sq_upper": inv.c1sq_upper,
-        "c1sq_li_lower": inv.c1sq_li_lower,
-        "contradiction_value": inv.contradiction_value,
-        "contradiction": inv.contradiction,
-        "premise": inv.premise,
-    }
-    return [Report("numerology", "ok", details)]
+        return "ok", details, None
+    inv = fibration.invariants_report(args.genus, r, args.n)
+    details = _fields(inv)
+    details["r"] = details.pop("ratio")
+    details["contradiction"] = inv.contradiction
+    return "ok", details, None
 
 
-def _cmd_matrix(args) -> list[Report]:
-    try:
-        form = fibration.intersection_matrix(args.size)
-    except ValueError as err:
-        return [Report("matrix", "refused", {"error": str(err)})]
+def _cmd_matrix(args) -> _Outcome:
+    form = fibration.intersection_matrix(args.size)
     details = {
         "size": args.size,
         "matrix": [list(row) for row in form.matrix],
         "minors": list(form.minors),
         "positive_definite": form.positive_definite,
     }
-    return [Report("matrix", "ok", details)]
+    return "ok", details, None
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", parents=[common],
                        help="certified commutator expansions of powers")
     exp_sub = p.add_subparsers(dest="mode", required=True)
-    pc = exp_sub.add_parser("culler", parents=[common])
-    pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--emit", action="store_true", help="embed the factor words")
-    pc.set_defaults(func=_cmd_expand, mode="culler")
-    pb = exp_sub.add_parser("bavard", parents=[common])
-    pb.add_argument("--r", type=int, required=True)
-    pb.add_argument("--k", type=int, required=True)
-    pb.add_argument("--emit", action="store_true", help="embed the factor words")
-    pb.set_defaults(func=_cmd_expand, mode="bavard")
+    for mode in ("culler", "bavard"):
+        pm = exp_sub.add_parser(mode, parents=[common])
+        if mode == "bavard":
+            pm.add_argument("--r", type=int, required=True)
+        pm.add_argument("--k", type=int, required=True)
+        pm.add_argument("--emit", action="store_true", help="embed the factor words")
+    p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("bounds", parents=[common],
                        help="stable-commutator-length bound table")
@@ -320,17 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    reports = args.func(args)
-    out = sys.stdout
-    for report in reports:
-        print(report.to_json() if args.json else report.to_text(), file=out)
-    if any(r.status == "refused" for r in reports):
-        return 2
-    if any(r.status == "fail" for r in reports):
-        return 1
-    return 0
+    args = build_parser().parse_args(argv)
+    command = " ".join([args.command, *(getattr(args, a) for a in ("mode", "what") if a in args)])
+    try:
+        report = Report(command, *args.func(args))
+    except (ValueError, OSError, ExpansionNotFound) as err:
+        report = Report(command, "refused", {"error": str(err)})
+    code = _EXIT_CODES[report.status]
+    print(report.to_json() if args.json else report.to_text())
+    return code
 
 
 if __name__ == "__main__":

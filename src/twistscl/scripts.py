@@ -36,6 +36,10 @@ from .twists import (
 )
 from .words import MAX_PARSED_LETTERS, Letter, inverse_letters, parse_letters
 
+# Most symbols a replay's records may hold in all, summed over every
+# intermediate word; a longer replay is refused at the step that passes it.
+MAX_REPLAY_SYMBOLS = 10**7
+
 
 class ProofScript(NamedTuple):
     source: TwistWord
@@ -63,9 +67,14 @@ class DerivationReport(NamedTuple):
 
 
 def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationReport:
-    """Replay a script; accept iff all moves apply and the claim is exact."""
+    """Replay a script; accept iff all moves apply and the claim is exact.
+
+    Raises ValueError once the records would hold more than
+    MAX_REPLAY_SYMBOLS symbols.
+    """
     word: Optional[TwistWord] = script.source
     records: list[StepRecord] = []
+    held = 0
     conjugator = TwistWord()
     failure: Optional[tuple[int, str]] = None
     for i, step in enumerate(script.steps):
@@ -76,6 +85,10 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
             break
         if step.move == "conjugate-equation":
             conjugator = (TwistWord.parse(step.data, config) * conjugator).reduce()
+        held += len(word.symbols)
+        if held > MAX_REPLAY_SYMBOLS:
+            raise ValueError(f"step {i}: replay holds more than "
+                             f"MAX_REPLAY_SYMBOLS = {MAX_REPLAY_SYMBOLS} symbols")
         records.append(StepRecord(i, step, word))
     else:
         if word != script.claimed:

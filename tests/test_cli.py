@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from twistscl import cli
+from twistscl import cli, scripts
 from twistscl.commutators import MAX_EXPANSION_FACTORS
 from twistscl.fibration import MAX_MATRIX_SIZE
 from twistscl.words import MAX_PARSED_LETTERS
@@ -25,6 +25,23 @@ def run_cli(argv):
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     return code, buf.getvalue()
+
+
+def assert_refused(argv, command):
+    """The refusal contract: refused input prints exactly one ``refused``
+    report for its command and exits 2, as JSON and as text.  Returns
+    the error text."""
+    code, output = run_cli(argv + ["--json"])
+    assert code == 2
+    assert len(output.splitlines()) == 1
+    payload = json.loads(output)
+    assert (payload["command"], payload["status"]) == (command, "refused")
+    error = payload["details"]["error"]
+    assert error
+    code, output = run_cli(argv)
+    assert code == 2
+    assert output == f"[refused] {command}\n  error: {error}\n"
+    return error
 
 
 @pytest.fixture(autouse=True)
@@ -115,22 +132,64 @@ def test_check_script_failure_reason_does_not_depend_on_string_hashing(tmp_path)
 def test_check_script_huge_exponent_is_refused(tmp_path):
     bad = tmp_path / "huge.script"
     bad.write_text(f"let source = t2^{MAX_PARSED_LETTERS + 1}\nclaim t2\n")
-    code, output = run_cli(["check-script", str(bad), "--json"])
-    assert code == 2
-    assert json.loads(output)["status"] == "refused"
+    assert_refused(["check-script", str(bad)], "check-script")
+
+
+def test_check_script_beyond_the_replay_budget_is_refused(tmp_path, monkeypatch):
+    # records hold 3 + 5 + ... symbols: 9999 after step 98, 10200 after step 99
+    monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 10_000)
+    long = tmp_path / "long.script"
+    long.write_text("let source = t1\n" + "step free-insert @0 t2\n" * 200 + "claim t1\n")
+    error = assert_refused(["check-script", str(long)], "check-script")
+    assert error == "step 99: replay holds more than MAX_REPLAY_SYMBOLS = 10000 symbols"
+
+
+def _refused_argv(tmp_path, argv):
+    """Fill the file placeholders of a refused argv."""
+    (tmp_path / "latin1.script").write_bytes(b"let source = t1\xff\nclaim t1\n")
+    (tmp_path / "syntax.script").write_text("let source = t1\nstep\nclaim t1\n")
+    return [arg.format(tmp=tmp_path) for arg in argv]
+
+
+# One refused argv per subcommand branch, with a fragment of its error;
+# the missing file and the oversized requests have tests of their own.
+REFUSED = [
+    ("check-script-directory", ["check-script", "{tmp}"], "check-script", "Is a directory"),
+    ("check-script-non-utf8", ["check-script", "{tmp}/latin1.script"], "check-script",
+     "can't decode byte 0xff"),
+    ("check-script-syntax", ["check-script", "{tmp}/syntax.script"], "check-script",
+     "line 2: step needs"),
+    ("expand-culler-k0", ["expand", "culler", "--k", "0"], "expand culler", "power must be >= 1"),
+    ("expand-bavard-r0", ["expand", "bavard", "--r", "0", "--k", "3"], "expand bavard",
+     "need at least one commutator pair"),
+    ("bounds-genus1", ["bounds", "--genus", "1"], "bounds", "require genus >= 2"),
+    ("matrix-size0", ["matrix", "--size", "0"], "matrix", "size must be >= 1"),
+] + [
+    (f"numerology-{name}-{n[0][2:]}", ["numerology", *args, *n], "numerology", error)
+    for name, args, error in (
+        ("r-zero-denominator", ["--genus", "3", "--r", "1/0"], "bad rational '1/0'"),
+        ("r-not-rational", ["--genus", "3", "--r", "abc"], "bad rational 'abc'"),
+        ("genus1", ["--genus", "1", "--r", "1/2"], "fiber genus must be >= 2"),
+    )
+    for n in (["--n", "2"], ["--find-n"])
+]
+
+
+@pytest.mark.parametrize("argv, command, error", [c[1:] for c in REFUSED],
+                         ids=[c[0] for c in REFUSED])
+def test_refused_input_prints_one_refused_report(tmp_path, argv, command, error):
+    assert error in assert_refused(_refused_argv(tmp_path, argv), command)
 
 
 def test_expand_culler_beyond_table_is_refused():
-    code, output = run_cli(["expand", "culler", "--k", "43", "--json"])
-    assert code == 2
-    assert "odd k <= 41" in json.loads(output)["details"]["error"]
+    error = assert_refused(["expand", "culler", "--k", "43"], "expand culler")
+    assert "odd k <= 41" in error
 
 
 def test_expand_bavard_one_factor_above_the_budget_is_refused():
     r = MAX_EXPANSION_FACTORS + 1
-    code, output = run_cli(["expand", "bavard", "--r", str(r), "--k", "1", "--json"])
-    assert code == 2
-    assert f"MAX_EXPANSION_FACTORS = {MAX_EXPANSION_FACTORS}" in json.loads(output)["details"]["error"]
+    error = assert_refused(["expand", "bavard", "--r", str(r), "--k", "1"], "expand bavard")
+    assert f"MAX_EXPANSION_FACTORS = {MAX_EXPANSION_FACTORS}" in error
 
 
 @pytest.mark.parametrize("r, k", [(1_000_000, 42), (2, 100_000_000)])
@@ -143,17 +202,12 @@ def test_expand_bavard_oversized_is_refused_at_once(r, k):
 
 
 def test_matrix_beyond_the_cap_is_refused():
-    code, output = run_cli(["matrix", "--size", str(MAX_MATRIX_SIZE + 1), "--json"])
-    assert code == 2
-    payload = json.loads(output)
-    assert payload["status"] == "refused"
-    assert str(MAX_MATRIX_SIZE) in payload["details"]["error"]
+    error = assert_refused(["matrix", "--size", str(MAX_MATRIX_SIZE + 1)], "matrix")
+    assert str(MAX_MATRIX_SIZE) in error
 
 
 def test_check_script_missing_file_is_refused(tmp_path):
-    code, output = run_cli(["check-script", str(tmp_path / "missing.script"), "--json"])
-    assert code == 2
-    assert json.loads(output)["status"] == "refused"
+    assert_refused(["check-script", str(tmp_path / "missing.script")], "check-script")
 
 
 def test_check_script_trace_lists_intermediate_words():

@@ -1,8 +1,11 @@
+import time
 from importlib import resources
 
 import pytest
 
+from twistscl import scripts
 from twistscl.scripts import (
+    MAX_REPLAY_SYMBOLS,
     ProofScript,
     ScriptSyntaxError,
     check_script,
@@ -188,3 +191,29 @@ def test_mapping_declared_in_a_script_is_valid_step_data():
         cfg.word(w) for w in ("g^-1 t1 g", "t4", "t4 g^-1 g", "t4", "g g^-1 t4")
     ]
     assert report.failure == (5, "@0: need g ... g^-1 around a twist")
+
+
+def _insertions(steps: int) -> str:
+    """A script of ``steps`` insertions of t2 t2^-1 in front of t1; the
+    replay's i-th record holds 2i + 3 symbols, so its records hold
+    steps * (steps + 2) in all."""
+    claim = " ".join(["t2 t2^-1"] * steps + ["t1"])
+    return "let source = t1\n" + "step free-insert @0 t2\n" * steps + f"claim {claim}\n"
+
+
+def test_replay_beyond_the_symbol_budget_is_refused():
+    script, cfg = parse_script(_insertions(3200), CFG)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"step 3161: .*MAX_REPLAY_SYMBOLS = {MAX_REPLAY_SYMBOLS}"):
+        check_script(script, cfg)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_replay_at_exactly_the_symbol_budget_is_accepted(monkeypatch):
+    script, cfg = parse_script(_insertions(3), CFG)
+    monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 15)
+    report = check_script(script, cfg)
+    assert report.accepted and sum(len(r.word.symbols) for r in report.records) == 15
+    monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 14)
+    with pytest.raises(ValueError, match="step 2: "):
+        check_script(script, cfg)
