@@ -227,8 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "and stable-commutator-length bounds.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit one canonical JSON report per line")
+    mode_common = argparse.ArgumentParser(add_help=False)
+    # A subparser's defaults overwrite what its parent parsed, so the
+    # expand modes leave ``json`` unset unless given: ``expand --json
+    # culler`` and ``expand culler --json`` both print JSON.
+    for parent, default in ((common, False), (mode_common, argparse.SUPPRESS)):
+        parent.add_argument("--json", action="store_true", default=default,
+                            help="emit one canonical JSON report per line")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="run a built-in verification")
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certified commutator expansions of powers")
     exp_sub = p.add_subparsers(dest="mode", required=True)
     for mode in ("culler", "bavard"):
-        pm = exp_sub.add_parser(mode, parents=[common])
+        pm = exp_sub.add_parser(mode, parents=[mode_common])
         if mode == "bavard":
             pm.add_argument("--r", type=int, required=True)
         pm.add_argument("--k", type=int, required=True)

@@ -19,56 +19,111 @@ power works out to.  The split between the two is a convention.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .twists import CurveConfiguration, TwistWord, default_configuration
-from .words import Word, parse_word, substitute
+from .words import Letter, Word, parse_word
 
 BASIS = ("x", "y", "z")
 
+# Inside this module a letter is a signed int: x, y, z are 1, 2, 3 and a
+# letter's inverse is its negation.  Every long tuple is built from a
+# list (exact size); ``tuple(map(...))`` or a generator would resize it
+# again and again and fragment the heap.
+_CODE: dict[Letter, int] = {(b, s): s * i for i, b in enumerate(BASIS, 1) for s in (1, -1)}
+_LETTER: dict[int, Letter] = {c: letter for letter, c in _CODE.items()}
+
+_Codes = tuple[int, ...]
+
+
+def _decode(codes: _Codes) -> Word:
+    return Word._raw(tuple([_LETTER[c] for c in codes]))
+
+
+def _substitute(codes: Iterable[int], pieces: list) -> _Codes:
+    """The reduced image of the coded word ``codes``, as ``words.join_all``.
+
+    ``pieces`` is the caller's memo ``[None, x, y, z, None, None, None]``:
+    ``pieces[c]`` is the image of letter ``c``, and an image's inverse
+    fills its slot at a negative index when first needed.
+    """
+    out: list[int] = []
+    for c in codes:
+        piece = pieces[c]
+        if piece is None:
+            piece = pieces[c] = tuple([-d for d in reversed(pieces[-c])])
+        j, n = 0, len(piece)
+        while j < n and out and out[-1] == -piece[j]:
+            out.pop()
+            j += 1
+        out.extend(piece[j:] if j else piece)
+    return tuple(out)
+
 
 class Automorphism:
-    """An automorphism of the free group on x, y, z, given by basis images."""
+    """An automorphism of the free group on x, y, z, given by basis images.
 
-    __slots__ = ("images",)
+    The images are kept coded; ``images`` builds their ``Word``s on first read.
+    """
 
-    def __init__(self, images: dict[str, Word]):
+    __slots__ = ("_codes", "_images")
+
+    def __init__(self, images: Mapping[str, Word]):
         if set(images) != set(BASIS):
             raise ValueError(f"images must be given exactly on {BASIS}")
         for b in BASIS:
             if not isinstance(images[b], Word):
                 raise TypeError(f"image of {b} must be a Word, got {images[b]!r}")
-        object.__setattr__(self, "images", {b: images[b] for b in BASIS})
+        try:
+            codes = tuple([tuple([_CODE[l] for l in images[b].letters]) for b in BASIS])
+        except KeyError as err:
+            raise ValueError(f"images must be words in {BASIS}, got {err.args[0]!r}") from None
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_images", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
 
     @classmethod
-    def _raw(cls, images: dict[str, Word]) -> "Automorphism":
-        """Wrap images already keyed in BASIS order by Words, unchecked."""
+    def _raw(cls, codes: tuple[_Codes, _Codes, _Codes]) -> "Automorphism":
+        """Wrap reduced coded images in BASIS order, unchecked."""
         a = cls.__new__(cls)
-        object.__setattr__(a, "images", images)
+        object.__setattr__(a, "_codes", codes)
+        object.__setattr__(a, "_images", None)
         return a
+
+    @property
+    def images(self) -> Mapping[str, Word]:
+        """The basis images as Words, built on first read; read-only, because
+        the coded images are what compose, == and hash read."""
+        images = self._images
+        if images is None:
+            images = MappingProxyType({b: _decode(c) for b, c in zip(BASIS, self._codes)})
+            object.__setattr__(self, "_images", images)
+        return images
 
     @classmethod
     def identity(cls) -> "Automorphism":
         return _IDENTITY
 
     def apply(self, w: Word) -> Word:
-        return substitute(w, self.images)
+        pieces = [None, *self._codes, None, None, None]
+        return _decode(_substitute([_CODE[l] for l in w.letters], pieces))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Return self after other: (self.compose(other))(w) = self(other(w))."""
-        return Automorphism._raw({b: self.apply(other.images[b]) for b in BASIS})
+        pieces = [None, *self._codes, None, None, None]
+        return Automorphism._raw(tuple([_substitute(c, pieces) for c in other._codes]))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Automorphism) and self.images == other.images
+        return isinstance(other, Automorphism) and self._codes == other._codes
 
     def __hash__(self) -> int:
-        return hash(tuple(self.images[b] for b in BASIS))
+        return hash(self._codes)
 
     def is_identity(self) -> bool:
-        return self.images == _IDENTITY.images
+        return self._codes == _IDENTITY._codes
 
     def __repr__(self) -> str:
         body = ", ".join(f"{b} -> {self.images[b]}" for b in BASIS)
@@ -76,13 +131,10 @@ class Automorphism:
 
     def homology_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Abelianized action: rows are images, columns exponent sums."""
-        rows = []
-        for b in BASIS:
-            sums = {name: 0 for name in BASIS}
-            for name, sign in self.images[b].letters:
-                sums[name] += sign
-            rows.append(tuple(sums[name] for name in BASIS))
-        return tuple(rows)
+        return tuple(
+            tuple(codes.count(i) - codes.count(-i) for i in (1, 2, 3))
+            for codes in self._codes
+        )
 
 
 _IDENTITY = Automorphism({b: Word.generator(b) for b in BASIS})

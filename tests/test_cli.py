@@ -201,6 +201,19 @@ def test_expand_bavard_oversized_is_refused_at_once(r, k):
     assert json.loads(output)["status"] == "refused"
 
 
+@pytest.mark.parametrize("mode, args", [("culler", ["--k", "3"]), ("bavard", ["--r", "2", "--k", "3"])])
+def test_expand_json_flag_works_before_and_after_the_mode(mode, args):
+    """``--json`` given to ``expand`` is not reset by the mode's own default."""
+    code, trailing = run_cli(["expand", mode, *args, "--json"])
+    assert code == 0
+    assert json.loads(trailing)["command"] == f"expand {mode}"
+    for argv in (["expand", "--json", mode, *args], ["expand", "--json", mode, *args, "--json"]):
+        assert run_cli(argv) == (0, trailing)
+    code, text = run_cli(["expand", mode, *args])
+    assert code == 0
+    assert text.startswith(f"[ok] expand {mode}\n")
+
+
 def test_matrix_beyond_the_cap_is_refused():
     error = assert_refused(["matrix", "--size", str(MAX_MATRIX_SIZE + 1)], "matrix")
     assert str(MAX_MATRIX_SIZE) in error

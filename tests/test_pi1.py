@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from twistscl.twists import (
     TwistWord,
     default_configuration,
 )
-from twistscl.words import Word, parse_word
+from twistscl.words import Word, parse_word, substitute
 
 CFG = default_configuration()
 W = CFG.word
@@ -149,6 +150,8 @@ def test_automorphism_images_validated():
         Automorphism({"x": parse_word("x"), "y": parse_word("y"), "z": (("z", 1),)})
     with pytest.raises(AttributeError):
         Automorphism.identity().images = {}
+    with pytest.raises(ValueError):
+        Automorphism({"x": parse_word("x"), "y": parse_word("y"), "z": parse_word("w")})
 
 
 def _reference_compose(outer: Automorphism, inner: Automorphism) -> Automorphism:
@@ -212,3 +215,81 @@ def test_default_configuration_is_built_at_most_once(monkeypatch):
         assert validate_model().passed
     assert len(built) <= 1
     assert evaluate(w) == evaluate(w, default_configuration())
+
+
+def _random_word(rng, max_letters: int) -> Word:
+    return Word([(rng.choice(pi1.BASIS), rng.choice((1, -1))) for _ in range(rng.randrange(max_letters + 1))])
+
+
+def _random_automorphism(rng) -> Automorphism:
+    """Random reduced images of up to ~200 letters; often y = x^-1 r, so
+    that x y loses all of x's image and x^-1 y^-1 all of y's."""
+    images = {b: _random_word(rng, 200) for b in pi1.BASIS}
+    if rng.random() < 0.5:
+        images["y"] = ~images["x"] * _random_word(rng, rng.choice((0, 5, 100)))
+    if rng.random() < 0.25:
+        images["z"] = ~images["y"]
+    return Automorphism(images)
+
+
+def test_coded_compose_and_apply_match_the_reference():
+    rng = random.Random(41)
+    for _ in range(40):
+        a, b = _random_automorphism(rng), _random_automorphism(rng)
+        got, want = a.compose(b), _reference_compose(a, b)
+        assert got == want and hash(got) == hash(want)
+        assert got.images == want.images
+        for w in (_random_word(rng, 30), parse_word("x y x^-1 y^-1 z y^-1 x^-1"), Word()):
+            assert a.apply(w) == substitute(w, a.images)
+
+
+def test_equal_automorphisms_hash_equal_and_decode_once():
+    rng = random.Random(42)
+    for _ in range(100):
+        a = _random_automorphism(rng)
+        twin = Automorphism(dict(a.images))
+        assert twin == a and hash(twin) == hash(a)
+        for b in pi1.BASIS:
+            assert Automorphism({**a.images, b: a.images[b] * Word.generator("x")}) != a
+        first = a.images
+        assert a.images is first
+        with pytest.raises(TypeError):
+            first["x"] = Word()
+        assert all(a.images[b] is first[b] for b in pi1.BASIS)
+        sums = tuple(
+            tuple(sum(s for n, s in a.images[row].letters if n == col) for col in pi1.BASIS)
+            for row in pi1.BASIS
+        )
+        assert a.homology_matrix() == sums
+
+
+def _gate_cases(count=1000, seed=20261018):
+    """Twist words of at most 12 symbols, each with a neighbour that
+    differs by one swap of adjacent symbols, and a word in x, y, z."""
+    rng = random.Random(seed)
+    symbols = ("t1", "t2", "t3", "t4", "t5", "t_alpha", "t_beta")
+    for _ in range(count):
+        w = [(rng.choice(symbols), rng.choice((1, -1))) for _ in range(rng.randrange(0, 13))]
+        other = list(w)
+        if len(other) >= 2:
+            i = rng.randrange(len(other) - 1)
+            other[i], other[i + 1] = other[i + 1], other[i]
+        text = " ".join(f"{rng.choice('xyz')}^{rng.choice((1, -1, 2, -3))}"
+                        for _ in range(rng.randrange(0, 9))) or "1"
+        yield TwistWord(w), TwistWord(other), text
+
+
+def test_model_results_match_the_pinned_digest():
+    """``repr`` of evaluate, equal_in_rep and apply on 1000 seeded cases,
+    hashed; the digest was computed with the (name, sign) implementation
+    of substitution that preceded coded letters."""
+    digest, defined, equal = hashlib.sha256(), 0, 0
+    for w, other, text in _gate_cases():
+        defined += any(name in ("t_alpha", "t_beta") for name, _ in w.symbols)
+        aut = evaluate(w, CFG)
+        same = equal_in_rep(w, other, CFG)
+        equal += same
+        for value in (aut, same, aut.apply(parse_word(text))):
+            digest.update(repr(value).encode() + b"\n")
+    assert (defined, equal) == (720, 691)
+    assert digest.hexdigest() == "7c0c55b6cda158f30c893945ac5a5ead2780f7df5aba8d8e21112d91d07d205e"
