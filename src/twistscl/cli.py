@@ -226,40 +226,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of Dehn-twist commutator identities "
                     "and stable-commutator-length bounds.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    mode_common = argparse.ArgumentParser(add_help=False)
-    # A subparser's defaults overwrite what its parent parsed, so the
-    # expand modes leave ``json`` unset unless given: ``expand --json
-    # culler`` and ``expand culler --json`` both print JSON.
-    for parent, default in ((common, False), (mode_common, argparse.SUPPRESS)):
-        parent.add_argument("--json", action="store_true", default=default,
-                            help="emit one canonical JSON report per line")
+    def command(subparsers, name, json_default=False, **kwargs) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, **kwargs)
+        p.add_argument("--json", action="store_true", default=json_default,
+                       help="emit one canonical JSON report per line")
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run a built-in verification")
+    p = command(sub, "verify", help="run a built-in verification")
     p.add_argument("what", choices=("relations", "tenth-power"))
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("check-script", parents=[common],
-                       help="replay a proof script file")
+    p = command(sub, "check-script", help="replay a proof script file")
     p.add_argument("file")
     p.add_argument("--trace", action="store_true",
                    help="include every intermediate word in the report")
     p.set_defaults(func=_cmd_check_script)
 
-    p = sub.add_parser("expand", parents=[common],
-                       help="certified commutator expansions of powers")
+    p = command(sub, "expand", help="certified commutator expansions of powers")
     exp_sub = p.add_subparsers(dest="mode", required=True)
     for mode in ("culler", "bavard"):
-        pm = exp_sub.add_parser(mode, parents=[mode_common])
+        # A subparser's defaults overwrite what its parent parsed, so the
+        # expand modes leave ``json`` unset unless given: ``expand --json
+        # culler`` and ``expand culler --json`` both print JSON.
+        pm = command(exp_sub, mode, argparse.SUPPRESS)
         if mode == "bavard":
             pm.add_argument("--r", type=int, required=True)
         pm.add_argument("--k", type=int, required=True)
         pm.add_argument("--emit", action="store_true", help="embed the factor words")
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="stable-commutator-length bound table")
+    p = command(sub, "bounds", help="stable-commutator-length bound table")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--punctures", type=int, default=0)
     p.add_argument("--boundary", type=int, default=0)
@@ -268,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smaller-side genus of a separating curve")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("numerology", parents=[common],
-                       help="fibration invariant ledger and contradiction search")
+    p = command(sub, "numerology", help="fibration invariant ledger and contradiction search")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--r", required=True, help="rational ratio, e.g. 1/49")
     group = p.add_mutually_exclusive_group(required=True)
@@ -277,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--find-n", action="store_true")
     p.set_defaults(func=_cmd_numerology)
 
-    p = sub.add_parser("matrix", parents=[common],
-                       help="tridiagonal intersection form and its minors")
+    p = command(sub, "matrix", help="tridiagonal intersection form and its minors")
     p.add_argument("--size", type=int, required=True)
     p.set_defaults(func=_cmd_matrix)
 

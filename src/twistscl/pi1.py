@@ -18,7 +18,6 @@ power works out to.  The split between the two is a convention.
 
 from __future__ import annotations
 
-from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -197,19 +196,13 @@ def twist_automorphism(curve: str, sign: int = 1) -> Automorphism:
         ) from None
 
 
-@cache
-def _default_config() -> CurveConfiguration:
-    """The default configuration, built once per process and used only here."""
-    return default_configuration()
-
-
 def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Automorphism:
     """Compose twist automorphisms; the last symbol of ``w`` acts first.
 
-    Twist symbols for defined curves (alpha, beta) are expanded through
-    their defining conjugates.  Mapping symbols have no model and raise.
+    Twist symbols for defined curves (alpha, beta) are evaluated as their
+    spelling in ``config.expansions``.  Mapping symbols have no model and raise.
     """
-    config = config or _default_config()
+    config = config or default_configuration()
     out = _IDENTITY
     defined: dict[tuple[str, int], Automorphism] = {}
     for name, sign in w.symbols:
@@ -221,11 +214,8 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
         if curve in config.definitions:
             aut = defined.get((name, sign))
             if aut is None:
-                image_of, by = config.definitions[curve]
-                conj = evaluate(by, config)
-                conj_inv = evaluate(by.inverse(), config)
-                inner = twist_automorphism(image_of, sign)
-                aut = defined[name, sign] = conj.compose(inner).compose(conj_inv)
+                expansion = TwistWord._raw(config.expansions[curve, sign])
+                aut = defined[name, sign] = evaluate(expansion, config)
         else:
             aut = twist_automorphism(curve, sign)
         out = out.compose(aut)
@@ -280,7 +270,7 @@ def _is_unipotent_transvection(m: tuple[tuple[int, ...], ...]) -> bool:
 
 def validate_model(config: Optional[CurveConfiguration] = None) -> ModelReport:
     """Check every registered relation of the configuration in the model."""
-    config = config or _default_config()
+    config = config or default_configuration()
     checks: list[RelationCheck] = []
     word = lambda text: TwistWord.parse(text, config)
 

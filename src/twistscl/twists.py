@@ -12,6 +12,7 @@ adjacent inverse pairs; ``free-cancel`` is the move that removes them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Iterable, NamedTuple, Optional
 
 from .words import (
@@ -140,7 +141,9 @@ class CurveConfiguration:
     # Tables the moves look up, built once here; ``replace`` re-runs
     # ``__post_init__``, so they follow every derived configuration.
     _pair_kind: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
-    _expansion: dict[tuple[str, int], tuple[Letter, ...]] = field(
+    # ``expansions[curve, sign]`` (public) spells a defined curve's twist^sign as
+    # ``by t^sign by^-1``; definition-substitute and ``pi1.evaluate`` both read it.
+    expansions: dict[tuple[str, int], tuple[Letter, ...]] = field(
         init=False, repr=False, compare=False
     )
     _chain_sides: tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...] = field(
@@ -162,12 +165,12 @@ class CurveConfiguration:
                     s1, s2 = twist_of.get(c1), twist_of.get(c2)
                     if curve_of_twist.get(s1) == c1 and curve_of_twist.get(s2) == c2:
                         pair_kind[s1, s2] = pair_kind[s2, s1] = kind
-        expansion = {}
+        expansions = {}
         for curve, (image_of, by) in self.definitions.items():
             if image_of in twist_of:
                 inverse = inverse_letters(by.symbols)
                 for sign in (1, -1):
-                    expansion[curve, sign] = by.symbols + ((twist_of[image_of], sign),) + inverse
+                    expansions[curve, sign] = by.symbols + ((twist_of[image_of], sign),) + inverse
         # In the order chain-substitute tries them; the first match wins.
         chain_sides = ()
         for left, right in self.chain_relations:
@@ -186,7 +189,7 @@ class CurveConfiguration:
                 letter_of_token[inverted] = (name, -1)
         for attr, value in (
             ("curve_of_twist", curve_of_twist), ("_pair_kind", pair_kind),
-            ("_expansion", expansion), ("_chain_sides", chain_sides),
+            ("expansions", expansions), ("_chain_sides", chain_sides),
             ("_letter_of_token", letter_of_token), ("_token_of_letter", token_of_letter),
         ):
             object.__setattr__(self, attr, value)
@@ -211,12 +214,13 @@ class CurveConfiguration:
             raise ValueError(f"unknown symbol {name!r}")
 
 
+@cache
 def default_configuration() -> CurveConfiguration:
     """The three-chain on a genus-1 surface with two boundary curves.
 
     Curves a1, a2, a3 form a chain (consecutive ones cross once), a4 and
     a5 bound a regular neighborhood of their union, and alpha, beta are
-    images of a3 under powers of the middle twist.
+    images of a3 under powers of the middle twist.  Built once per process.
     """
     curves = ("a1", "a2", "a3", "a4", "a5", "alpha", "beta")
     twist_of_curve = {
@@ -279,7 +283,7 @@ def _step_symbol(step: Step, config: CurveConfiguration) -> Letter:
 
 def _window(syms: tuple[Letter, ...], step: Step, count: int) -> tuple[Letter, ...]:
     p = step.position
-    if p < 0 or p + count > len(syms):
+    if p + count > len(syms):
         raise PatternMismatch(p, f"{step.move} needs {count} symbols at this position")
     return syms[p : p + count]
 
@@ -302,7 +306,7 @@ _Rewrite = tuple[tuple[Letter, ...], Step]
 
 def _free_insert(syms, step, config) -> _Rewrite:
     p = step.position
-    if p < 0 or p > len(syms):
+    if p > len(syms):
         raise PatternMismatch(p, "insertion point outside the word")
     name, sign = _step_symbol(step, config)
     return syms[:p] + ((name, sign), (name, -sign)) + syms[p:], Step("free-cancel", p)
@@ -350,10 +354,10 @@ def _definition_substitute(syms, step, config) -> _Rewrite:
         raise UnregisteredRelation(p, f"{curve!r} has no registered definition")
     tw = config.twist_of_curve[curve]
     if p < len(syms) and syms[p][0] == tw:
-        expansion = config._expansion[curve, syms[p][1]]
+        expansion = config.expansions[curve, syms[p][1]]
         return syms[:p] + expansion + syms[p + 1 :], step
     for sign in (1, -1):
-        pat = config._expansion[curve, sign]
+        pat = config.expansions[curve, sign]
         if p + len(pat) <= len(syms) and syms[p : p + len(pat)] == pat:
             return syms[:p] + ((tw, sign),) + syms[p + len(pat) :], step
     raise PatternMismatch(p, f"neither {tw} nor its expansion matches here")
@@ -425,6 +429,8 @@ def _rewrite(word: TwistWord, step: Step, config: CurveConfiguration) -> tuple[T
     move = _MOVES.get(step.move)
     if move is None:
         raise ValueError(f"unknown move kind {step.move!r}")
+    if step.position < 0:  # the one lower bound; each move checks its upper bound
+        raise PatternMismatch(step.position, "position must not be negative")
     symbols, inverse = move(word.symbols, step, config)
     return TwistWord._raw(symbols), inverse
 

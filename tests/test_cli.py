@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -256,3 +257,46 @@ def test_module_entry_point_subprocess():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["details"]["minors"] == [2, 3, 4]
+
+
+# sha256 of each parser's ``--help`` text (stdout) and of its usage error
+# for missing arguments (stderr), at 80 columns.  argparse words these
+# texts differently from one Python version to the next (3.10 says
+# "optional arguments:"), so the digests hold for the version pinned here.
+HELP_TEXT_PYTHON = (3, 11)
+HELP_TEXT_DIGESTS = [
+    ([], "a0b62abfbf9fa4d69b3fd7481788ef200ed4bd6b3b3973b3e323c9467e1deeca",
+     "1822a694bbf5bf4a0fca562cd143d9d08c2abb251f33c68ede93686959c611eb"),
+    (["verify"], "041452c3aaa47248972ca96ef0621acaa5a691993a6362712121c892dca9ba08",
+     "5e6c9bf312e02031378dac09c2c9e1d02d7f79e8660ea5bfcdb8eef8c2a4486c"),
+    (["check-script"], "c93d8870e98d013e76a9e96f0135ce8a767dea2dbd29512a87ab8e28042773e4",
+     "21a5bd76866f199a2c451cebe4e67d56f71d0bfce191ce72c8867c2a5f1fdb65"),
+    (["expand"], "5bd712fcc73d8ebcdb0ad5c465d053efb97630f7b8500273eb75aa5265ea4edc",
+     "eb950915cb0d52226d42cff65cfd4f4da48244fdd52eacd23afa1a250de708cc"),
+    (["expand", "culler"], "caf24e9ab5ccc996aa292599e645b6a308a3b206d27a2b7b80fb89c80615538e",
+     "ae8ab7cde1f5f59df333542b2b5316f5cd6e51e9ea9f3e2c3639f6b8b1fa80d4"),
+    (["expand", "bavard"], "6737f76386a5ce65bf0a006b906bb7e0fefbd7be549d3638b59d6910f2b51807",
+     "61f72a0fd696909dd03d85366e8bca919bcf342628b0a9fe2a3376278dcafc33"),
+    (["bounds"], "d6c531040a4081dd82047ddc8f50c58059c35bff73024d73c3edeb452642e310",
+     "119faa40d62df92d61c8321928158f929d8c90312eb154db0756f743053ddaa9"),
+    (["numerology"], "5ce2708b0f357b30ae46cac30e8d0381559dde5edcd55be49d9d3e2cefabd7ed",
+     "b51ccb9966602b40dfc11d32060f5c7833d9fa607368469f42459699486b0a0f"),
+    (["matrix"], "a551b1ac873069370c00aad001b5e8dd46e396bff4248745bb2d0e78ac76dad5",
+     "c190541bd5147b930e01d2164203f87f6459a1ff34d42d1ef89c5e012174193c"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != HELP_TEXT_PYTHON,
+                    reason="help digests are pinned for one Python version")
+@pytest.mark.parametrize("path, help_digest, usage_digest", HELP_TEXT_DIGESTS,
+                         ids=[" ".join(row[0]) or "twistscl" for row in HELP_TEXT_DIGESTS])
+def test_help_and_usage_texts_are_unchanged(monkeypatch, path, help_digest, usage_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code, digest in ((path + ["--help"], 0, help_digest), (path, 2, usage_digest)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv)
+        text, other = (out, err) if code == 0 else (err, out)
+        assert (exit_.value.code, other.getvalue()) == (code, "")
+        assert hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest() == digest, text.getvalue()

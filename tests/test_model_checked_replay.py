@@ -6,14 +6,18 @@ symbol at a time) is compared at every length; the full automorphism
 only while the word is short, because basis images grow quickly.
 """
 
+import json
 import random
 from collections import Counter
 from importlib import resources
 
+import pytest
+
+from twistscl import cli
 from twistscl.pi1 import evaluate
 from twistscl.scripts import check_script, parse_script
 from twistscl.twists import MoveError, Step, TwistWord, apply_step, default_configuration
-from twistscl.words import inverse_letters
+from twistscl.words import inverse_letters, parse_letters
 
 CFG = default_configuration()
 FULL_IMAGE_MAX_SYMBOLS = 16
@@ -111,3 +115,85 @@ def test_shipped_script_preserves_the_model_value():
         assert_acts_like_source(record.word, script.source, source_aut)
         checked += 1
     assert checked == len(script.steps) == 20
+
+
+# Step data drawn for the position fuzz: valid for some kinds, noise for
+# the rest (unknown symbols, bad exponents, several symbols, no definition).
+FUZZ_DATA = ("", "q", "t2^x", "t2^0", "t1 t2", "gamma", "alpha", "beta", "t_alpha^-1")
+
+
+def random_fuzz_step(rng: random.Random, move: str, word: TwistWord) -> Step:
+    if rng.random() < 0.3:
+        data = rng.choice(FUZZ_DATA)
+    elif move in ("free-insert", "conjugate-equation"):
+        count = 1 if move == "free-insert" else rng.randint(1, 3)
+        data = " ".join(rng.choice(SYMBOLS) + rng.choice(("", "^-1")) for _ in range(count))
+    else:
+        data = random_step(rng, move, word).data
+    return Step(move, rng.randint(-4, len(word) + 3), data)
+
+
+def test_moves_are_sound_at_any_position():
+    """Each step either raises MoveError or keeps the word's value in the
+    model; conjugate-equation by C must give the value of C w C^-1."""
+    rng = random.Random(5)
+    kinds = MOVES + ("conjugate-equation",)
+    values: dict = {}
+
+    def value(word):
+        if word not in values:
+            values[word] = evaluate(word, CFG)
+        return values[word]
+
+    applied, refused, unsound, crashed = Counter(), Counter(), [], []
+    for _ in range(400):
+        word, size = TwistWord(), rng.randint(0, 14)
+        while len(word) < size:
+            word = word * CFG.word(rng.choice(CHUNKS))
+        word = TwistWord(word.symbols[:14])
+        for _ in range(12):
+            move = rng.choice(kinds)
+            step = random_fuzz_step(rng, move, word)
+            try:
+                after = apply_step(word, step, CFG)
+            except MoveError:
+                refused[move, step.position < 0] += 1
+                continue
+            except Exception as err:  # any other exception is a crash
+                crashed.append((str(word), str(step), repr(err)))
+                continue
+            applied[move] += 1
+            expected = word
+            if move == "conjugate-equation":
+                conj = TwistWord(parse_letters(step.data, CFG.check_symbol))
+                expected = conj * word * conj.inverse()
+            if value(after) != value(expected):
+                unsound.append((str(word), str(step), str(after)))
+    assert (len(unsound), len(crashed)) == (0, 0), (unsound[:3], crashed[:3])
+    assert set(applied) == set(kinds), applied
+    assert all(refused[move, True] for move in kinds), refused
+
+
+SCRIPTS_AT_NEGATIVE_POSITIONS = (
+    # would claim t_alpha = t_alpha^2
+    "let source = t_alpha\nstep definition-substitute @-1 alpha\n"
+    "step definition-substitute @0 alpha\nclaim t_alpha t_alpha\n",
+    # would duplicate the source through the expand branch
+    "map g a4->a1 alpha->a5\nlet source = t1\nstep twist-naturality @-1 g\n"
+    "claim g t4 g^-1 t1\n",
+    # raised IndexError
+    "let source = t1\nstep definition-substitute @-5 alpha\nclaim t1\n",
+)
+
+
+@pytest.mark.parametrize("text", SCRIPTS_AT_NEGATIVE_POSITIONS)
+def test_scripts_with_negative_positions_fail_at_step_zero(tmp_path, capsys, text):
+    path = tmp_path / "negative.script"
+    path.write_text(text)
+    assert cli.main(["check-script", str(path), "--json"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (report["status"], report["details"]["accepted"], err) == ("fail", False, "")
+    failure = report["details"]["first_failure"]
+    assert failure["step"] == 0
+    assert failure["reason"].endswith("position must not be negative")

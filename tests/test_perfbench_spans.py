@@ -1,0 +1,35 @@
+"""Every span the benchmark's tracer shims must exist in the library.
+
+``perfbench/tracer.py`` reports a target it cannot find as absent and
+drops the metrics built on it, so a rename in ``twistscl`` would quietly
+empty those metrics.  This loads the tracer from its file (``perfbench/``
+is not a package on the path) and installs it on the whole package.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import twistscl
+import twistscl.cli  # noqa: F401  (imports every module the spans live in)
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_span_exists():
+    tracer = _load_tracer()
+    trace = tracer.Tracer()
+    before = twistscl.twists.apply_step
+    trace.install(twistscl)
+    try:
+        assert trace.absent == []
+        assert twistscl.twists.apply_step is not before
+    finally:
+        trace.uninstall()
+    assert twistscl.twists.apply_step is before

@@ -283,6 +283,11 @@ def test_configuration_repr_and_equality_show_only_public_fields():
     assert shown == list(PUBLIC_FIELDS)
 
 
+def test_default_configuration_is_one_shared_instance():
+    assert default_configuration() is default_configuration() is CFG
+    assert CFG.expansions["alpha", -1] == W("t2 t2 t3^-1 t2^-1 t2^-1").symbols
+
+
 def test_configuration_tables_follow_replace():
     chain = Step("chain-substitute", 0)
     assert apply_step(W("t4 t5"), chain, CFG_G) == W("t1 t2 t3 t1 t2 t3 t1 t2 t3 t1 t2 t3")
@@ -360,6 +365,18 @@ FAILURES = [
      UnregisteredRelation, "mapping 'g' does not reach 'a2' in this direction"),
     ("t1", Step("twist-naturality", 1, "g"),
      PatternMismatch, "twist-naturality needs a mapping symbol or twist here"),
+    # a negative position is refused alike for every kind, before any move runs
+    *((word, Step(move, -1, data), PatternMismatch, "position must not be negative")
+      for word, move, data in (
+          ("t1", "free-insert", "t2"),
+          ("t1 t1^-1", "free-cancel", ""),
+          ("t1 t2 t1", "braid", ""),
+          ("t1 t3", "commute", ""),
+          ("t4 t5", "chain-substitute", ""),
+          ("t_alpha", "definition-substitute", "alpha"),
+          ("t1", "conjugate-equation", "t2"),
+          ("t1", "twist-naturality", "g"),
+      )),
 ]
 
 
