@@ -29,9 +29,6 @@ class CommutatorFactor(NamedTuple):
     left: Word
     right: Word
 
-    def value(self) -> Word:
-        return commutator(self.left, self.right).conjugate(self.conjugator)
-
 
 class CommutatorExpression(NamedTuple):
     """An ordered product of conjugated commutators with a claimed target."""

@@ -200,7 +200,8 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
     """Compose twist automorphisms; the last symbol of ``w`` acts first.
 
     Twist symbols for defined curves (alpha, beta) are evaluated as their
-    spelling in ``config.expansions``.  Mapping symbols have no model and raise.
+    spelling in ``config.expansions``, which names only undefined curves, so
+    this recurses at most one level.  Mapping symbols have no model and raise.
     """
     config = config or default_configuration()
     out = _IDENTITY

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 from .words import (
@@ -109,9 +110,11 @@ class MappingSymbol:
     mapping: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        images = [d for _, d in self.mapping]
-        if len(set(images)) != len(images):
-            raise ValueError(f"mapping {self.name!r} must be injective")
+        # a partial bijection: each curve at most once on each side
+        for side in zip(*self.mapping):
+            if len(set(side)) != len(side):
+                raise ValueError(f"mapping {self.name!r} must name each curve "
+                                 "at most once on each side")
 
     def image_of(self, curve: str) -> Optional[str]:
         for c, d in self.mapping:
@@ -128,9 +131,15 @@ class MappingSymbol:
 
 @dataclass(frozen=True)
 class CurveConfiguration:
-    """Curves, their twist symbols, and the registered relations."""
+    """Curves, their twist symbols, and the registered relations.
 
-    curves: frozenset[str]
+    ``__post_init__`` is the one home of the rules for a well-formed
+    configuration and refuses any other with ``ValueError``; ``with_mapping``,
+    ``without_chain_relations`` and ``dataclasses.replace`` all re-run it.
+    The curves are the keys of ``twist_of_curve``.
+    """
+
+    curves: frozenset[str] = field(init=False)
     twist_of_curve: dict[str, str]
     braid_pairs: frozenset[frozenset[str]]
     disjoint_pairs: frozenset[frozenset[str]]
@@ -138,8 +147,7 @@ class CurveConfiguration:
     definitions: dict[str, tuple[str, TwistWord]]
     mappings: dict[str, MappingSymbol] = field(default_factory=dict)
     curve_of_twist: dict[str, str] = field(init=False, default_factory=dict)
-    # Tables the moves look up, built once here; ``replace`` re-runs
-    # ``__post_init__``, so they follow every derived configuration.
+    # Tables the moves look up, built once in ``__post_init__``.
     _pair_kind: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
     # ``expansions[curve, sign]`` (public) spells a defined curve's twist^sign as
     # ``by t^sign by^-1``; definition-substitute and ``pi1.evaluate`` both read it.
@@ -153,24 +161,53 @@ class CurveConfiguration:
     _token_of_letter: dict[Letter, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        twist_of = self.twist_of_curve
+        curves = frozenset(twist_of)
+        curve_of_twist = {t: c for c, t in twist_of.items()}
+        # Symbol names are distinct identifiers, so each one reads back
+        # through parse_letters as exactly that symbol.
+        names = (*twist_of.values(), *self.mappings)
+        for i, name in enumerate(names):
+            if not name.isidentifier():
+                raise ValueError(f"symbol name {name!r} is not an identifier")
+            if names.index(name) != i:
+                raise ValueError(f"symbol name {name!r} already in use")
         if self.braid_pairs & self.disjoint_pairs:
             raise ValueError("a pair cannot be both braid and disjoint")
-        twist_of = self.twist_of_curve
-        curve_of_twist = {t: c for c, t in twist_of.items()}
         pair_kind = {}
         for kind, registered in (("braid", self.braid_pairs), ("disjoint", self.disjoint_pairs)):
             for pair in registered:
-                if len(pair) == 2:
-                    c1, c2 = pair
-                    s1, s2 = twist_of.get(c1), twist_of.get(c2)
-                    if curve_of_twist.get(s1) == c1 and curve_of_twist.get(s2) == c2:
-                        pair_kind[s1, s2] = pair_kind[s2, s1] = kind
+                if len(pair) != 2 or not pair <= curves:
+                    shown = ", ".join(repr(c) for c in sorted(pair))
+                    raise ValueError(f"{kind} pair {{{shown}}} must be two distinct known curves")
+                c1, c2 = pair
+                s1, s2 = twist_of[c1], twist_of[c2]
+                pair_kind[s1, s2] = pair_kind[s2, s1] = kind
+        # A definition conjugates the twist of an undefined curve by twists of
+        # undefined curves, so an expansion never names a defined curve.
+        undefined = curves.difference(self.definitions)
         expansions = {}
         for curve, (image_of, by) in self.definitions.items():
-            if image_of in twist_of:
-                inverse = inverse_letters(by.symbols)
-                for sign in (1, -1):
-                    expansions[curve, sign] = by.symbols + ((twist_of[image_of], sign),) + inverse
+            used = {image_of, *(curve_of_twist.get(name) for name, _ in by.symbols)}
+            if curve not in curves or not used <= undefined:
+                raise ValueError(f"definition of {curve!r} must conjugate the twist of an "
+                                 "undefined curve by twists of undefined curves")
+            inverse = inverse_letters(by.symbols)
+            for sign in (1, -1):
+                expansions[curve, sign] = by.symbols + ((twist_of[image_of], sign),) + inverse
+        # A diffeomorphism keeps intersection numbers: no two declared pairs
+        # may send a registered braid pair to a registered disjoint pair.
+        for name, symbol in self.mappings.items():
+            if symbol.name != name:
+                raise ValueError(f"mapping {symbol.name!r} is registered as {name!r}")
+            if not {c for pair in symbol.mapping for c in pair} <= curves:
+                raise ValueError(f"mapping {name!r} uses unknown curves")
+            for (c1, d1), (c2, d2) in combinations(symbol.mapping, 2):
+                before = pair_kind.get((twist_of[c1], twist_of[c2]))
+                after = pair_kind.get((twist_of[d1], twist_of[d2]))
+                if before and after and before != after:
+                    raise ValueError(f"mapping {name!r} sends the {before} pair {c1},{c2} "
+                                     f"to the {after} pair {d1},{d2}")
         # In the order chain-substitute tries them; the first match wins.
         chain_sides = ()
         for left, right in self.chain_relations:
@@ -181,24 +218,21 @@ class CurveConfiguration:
         # format_letters prints for one letter, and what parse_letters
         # reads as exactly that letter).
         letter_of_token, token_of_letter = {}, {}
-        for name in (*curve_of_twist, *self.mappings):
+        for name in names:
             inverted = token_of_letter[name, -1] = f"{name}^-1"
             token_of_letter[name, 1] = name
-            if name != "1" and "^" not in name and name.split() == [name]:
-                letter_of_token[name] = letter_of_token[f"{name}^1"] = (name, 1)
-                letter_of_token[inverted] = (name, -1)
+            letter_of_token[name] = letter_of_token[f"{name}^1"] = (name, 1)
+            letter_of_token[inverted] = (name, -1)
         for attr, value in (
-            ("curve_of_twist", curve_of_twist), ("_pair_kind", pair_kind),
+            ("curves", curves), ("curve_of_twist", curve_of_twist), ("_pair_kind", pair_kind),
             ("expansions", expansions), ("_chain_sides", chain_sides),
             ("_letter_of_token", letter_of_token), ("_token_of_letter", token_of_letter),
         ):
             object.__setattr__(self, attr, value)
 
     def with_mapping(self, symbol: MappingSymbol) -> "CurveConfiguration":
-        for curve, image in symbol.mapping:
-            if curve not in self.curves or image not in self.curves:
-                raise ValueError(f"mapping {symbol.name!r} uses unknown curves")
-        if symbol.name in self.mappings or symbol.name in self.curve_of_twist:
+        # a dict merge would silently overwrite a mapping of the same name
+        if symbol.name in self.mappings:
             raise ValueError(f"symbol name {symbol.name!r} already in use")
         return replace(self, mappings={**self.mappings, symbol.name: symbol})
 
@@ -222,7 +256,6 @@ def default_configuration() -> CurveConfiguration:
     a5 bound a regular neighborhood of their union, and alpha, beta are
     images of a3 under powers of the middle twist.  Built once per process.
     """
-    curves = ("a1", "a2", "a3", "a4", "a5", "alpha", "beta")
     twist_of_curve = {
         "a1": "t1", "a2": "t2", "a3": "t3", "a4": "t4", "a5": "t5",
         "alpha": "t_alpha", "beta": "t_beta",
@@ -243,8 +276,7 @@ def default_configuration() -> CurveConfiguration:
     tw3 = TwistWord([t("t2"), t("t2"), t("t2")])
     definitions = {"alpha": ("a3", tw2), "beta": ("a3", tw3)}
     return CurveConfiguration(
-        frozenset(curves), twist_of_curve, braid, disjoint,
-        ((chain_left, chain_right),), definitions,
+        twist_of_curve, braid, disjoint, ((chain_left, chain_right),), definitions,
     )
 
 

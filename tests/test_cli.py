@@ -145,10 +145,39 @@ def test_check_script_beyond_the_replay_budget_is_refused(tmp_path, monkeypatch)
     assert error == "step 99: replay holds more than MAX_REPLAY_SYMBOLS = 10000 symbols"
 
 
+# Two `map` declarations no diffeomorphism satisfies, each with a script
+# that the moves alone would accept although the model refutes its claim.
+NOT_A_FUNCTION = """\
+map g a1->a2 a1->a3
+let source = t3
+step twist-naturality @0 g
+step twist-naturality @0 g
+claim t2
+"""
+BRAID_PAIR_TO_DISJOINT_PAIR = """\
+map g a1->a2 a2->a4
+let source = t2 t4 t2
+step twist-naturality @0 g
+step twist-naturality @3 g
+step twist-naturality @6 g
+step free-cancel @2
+step free-cancel @3
+step braid @1
+step free-insert @2 g^-1
+step free-insert @5 g^-1
+step twist-naturality @0 g
+step twist-naturality @1 g
+step twist-naturality @2 g
+claim t4 t2 t4
+"""
+
+
 def _refused_argv(tmp_path, argv):
     """Fill the file placeholders of a refused argv."""
     (tmp_path / "latin1.script").write_bytes(b"let source = t1\xff\nclaim t1\n")
     (tmp_path / "syntax.script").write_text("let source = t1\nstep\nclaim t1\n")
+    (tmp_path / "not_a_function.script").write_text(NOT_A_FUNCTION)
+    (tmp_path / "braid_to_disjoint.script").write_text(BRAID_PAIR_TO_DISJOINT_PAIR)
     return [arg.format(tmp=tmp_path) for arg in argv]
 
 
@@ -160,6 +189,10 @@ REFUSED = [
      "can't decode byte 0xff"),
     ("check-script-syntax", ["check-script", "{tmp}/syntax.script"], "check-script",
      "line 2: step needs"),
+    ("check-script-map-not-a-function", ["check-script", "{tmp}/not_a_function.script"],
+     "check-script", "line 1: mapping 'g' must name each curve at most once on each side"),
+    ("check-script-map-braid-to-disjoint", ["check-script", "{tmp}/braid_to_disjoint.script"],
+     "check-script", "line 1: mapping 'g' sends the braid pair a1,a2 to the disjoint pair a2,a4"),
     ("expand-culler-k0", ["expand", "culler", "--k", "0"], "expand culler", "power must be >= 1"),
     ("expand-bavard-r0", ["expand", "bavard", "--r", "0", "--k", "3"], "expand bavard",
      "need at least one commutator pair"),
@@ -257,6 +290,17 @@ def test_module_entry_point_subprocess():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["details"]["minors"] == [2, 3, 4]
+
+
+def test_cli_imports_only_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import twistscl.cli; "
+            "print(*{m.partition('.')[0] for m in set(sys.modules) - before})")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=env, check=True)
+    loaded = set(result.stdout.split())
+    assert "twistscl" in loaded
+    assert loaded - {"twistscl"} <= sys.stdlib_module_names, loaded - sys.stdlib_module_names
 
 
 # sha256 of each parser's ``--help`` text (stdout) and of its usage error

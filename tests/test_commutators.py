@@ -366,7 +366,7 @@ def test_expression_value_is_the_product_of_factor_values():
     for expr in exprs:
         fold = Word.identity()
         for f in expr.factors:
-            fold = fold * f.value()
+            fold = fold * commutator(f.left, f.right).conjugate(f.conjugator)
         assert expr.value().letters == fold.letters
 
 

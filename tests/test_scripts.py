@@ -12,7 +12,7 @@ from twistscl.scripts import (
     parse_script,
     serialize_script,
 )
-from twistscl.twists import Step, default_configuration
+from twistscl.twists import MappingSymbol, Step, default_configuration
 from twistscl.words import MAX_PARSED_LETTERS
 
 CFG = default_configuration()
@@ -134,11 +134,32 @@ def test_parser_crlf_normalization():
     ("let source = t1\nlet source = t2\nclaim t1", "redefined"),
     ("let source = t2^x\nclaim t1", "malformed exponent"),
     (f"let source = t2^{MAX_PARSED_LETTERS + 1}\nclaim t1", "longer than"),
+    ("let source = t1\nstep braid @x\nclaim t1", "line 2: bad position '@x'"),
+    ("map g\nlet source = t1\nclaim t1", "line 1: map needs a name and curve pairs"),
+    ("map g a1->zz\nlet source = t1\nclaim t1", "line 1: mapping 'g' uses unknown curves"),
+    ("map t1 a1->a2\nlet source = t1\nclaim t1", "line 1: symbol name 't1' already in use"),
+    ("let source t1\nclaim t1", "line 1: let needs `let <name> = <word>`"),
+    ("let source = t1\nclaim t1\nclaim t1", "line 3: duplicate claim"),
+    ("map m^2 a1->a2\nlet source = t1\nclaim t1", "line 1: symbol name 'm^2' is not an identifier"),
 ])
 def test_parser_rejects_malformed_scripts(bad, message):
     with pytest.raises(ScriptSyntaxError) as err:
         parse_script(bad, CFG)
     assert message in str(err.value)
+
+
+def test_serialized_header_and_mappings_parse_back():
+    g = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
+    h = MappingSymbol("h", (("a1", "a2"), ("a2", "beta")))
+    cfg = CFG.with_mapping(g).with_mapping(h)
+    script = ProofScript(
+        cfg.word("g t4 g^-1 h"), (Step("twist-naturality", 0, "g"),), cfg.word("t1 h"))
+    text = serialize_script(script, header="round trip\n\nof a script", mappings=(g, h))
+    assert text.startswith("# round trip\n#\n# of a script\nmap g a4->a1 alpha->a5\n")
+    parsed, parsed_cfg = parse_script(text, CFG)
+    assert parsed == script
+    assert parsed_cfg.mappings == {"g": g, "h": h}
+    assert check_script(parsed, parsed_cfg).accepted
 
 
 @pytest.mark.parametrize("step, reason", [

@@ -19,7 +19,7 @@ from twistscl.twists import (
     invert_steps,
 )
 
-from twistscl.words import MAX_PARSED_LETTERS
+from twistscl.words import MAX_PARSED_LETTERS, parse_letters
 
 CFG = default_configuration()
 W = CFG.word
@@ -35,11 +35,17 @@ def test_default_configuration_table_counts():
 
 def test_braid_and_disjoint_do_not_overlap():
     assert not CFG.braid_pairs & CFG.disjoint_pairs
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot be both braid and disjoint"):
         CurveConfiguration(
-            CFG.curves, CFG.twist_of_curve,
-            CFG.braid_pairs, CFG.disjoint_pairs | CFG.braid_pairs,
+            CFG.twist_of_curve, CFG.braid_pairs, CFG.disjoint_pairs | CFG.braid_pairs,
             CFG.chain_relations, CFG.definitions,
+        )
+    # the curves are derived from the twist table, never passed in
+    with pytest.raises(TypeError):
+        CurveConfiguration(
+            curves=CFG.curves, twist_of_curve=CFG.twist_of_curve,
+            braid_pairs=CFG.braid_pairs, disjoint_pairs=CFG.disjoint_pairs,
+            chain_relations=CFG.chain_relations, definitions=CFG.definitions,
         )
 
 
@@ -178,8 +184,12 @@ def test_twist_naturality_with_declared_mapping():
 
 
 def test_mapping_symbols_must_be_injective():
-    with pytest.raises(ValueError):
-        MappingSymbol("bad", (("a1", "a3"), ("a2", "a3")))
+    for pairs in (
+        (("a1", "a3"), ("a2", "a3")),  # not injective
+        (("a1", "a2"), ("a1", "a3")),  # not a function
+    ):
+        with pytest.raises(ValueError, match="at most once on each side"):
+            MappingSymbol("bad", pairs)
 
 
 def test_moves_are_reversible_on_random_derivations():
@@ -301,15 +311,58 @@ def test_configuration_tables_follow_replace():
         inserted = apply_step(W("t1"), Step("free-insert", 0, data), CFG_G)
         sign = -1 if data == "g^-1" else 1
         assert inserted.symbols == (("g", sign), ("g", -sign), ("t1", 1))
-    # a braid pair naming a curve without a twist symbol registers nothing
-    odd = dataclasses.replace(
-        CFG, curves=CFG.curves | {"a6"},
-        braid_pairs=CFG.braid_pairs | {frozenset(("a1", "a6"))},
-    ).with_mapping(MappingSymbol("m", (("a1", "a6"),)))
-    assert apply_step(W("t1 t2 t1"), Step("braid", 0), odd) == W("t2 t1 t2")
-    with pytest.raises(PatternMismatch) as err:
-        apply_step(odd.word("t1 m t1"), Step("braid", 0), odd)
-    assert err.value.reason == "braid applies to two distinct twists"
+    # replace re-runs every check: a braid pair naming a curve without a
+    # twist symbol is refused, and the curves cannot be replaced at all
+    with pytest.raises(ValueError, match="must be two distinct known curves"):
+        dataclasses.replace(CFG, braid_pairs=CFG.braid_pairs | {frozenset(("a1", "a6"))})
+    with pytest.raises(ValueError):
+        dataclasses.replace(CFG, curves=CFG.curves | {"a6"})
+
+
+def _with(**changes):
+    return lambda: dataclasses.replace(CFG, **changes)
+
+
+# Malformed configurations, each refused where it is built; without the
+# checks they failed later (KeyError, RecursionError, UnresolvedSymbol) or
+# were silently ignored.
+MALFORMED = [
+    ("twistless-definition-image",
+     _with(definitions={**CFG.definitions, "alpha": ("a6", W("t2"))}), "definition of 'alpha'"),
+    ("definition-names-its-own-twist",
+     _with(definitions={**CFG.definitions, "alpha": ("a3", W("t2 t_alpha"))}),
+     "definition of 'alpha'"),
+    ("definitions-form-a-cycle",
+     _with(definitions={"alpha": ("beta", W("t2")), "beta": ("alpha", W("t2"))}),
+     "definition of 'alpha'"),
+    ("two-curves-share-a-twist",
+     _with(twist_of_curve={**CFG.twist_of_curve, "a6": "t1"}), "symbol name 't1' already in use"),
+    ("braid-pair-names-an-unknown-curve",
+     _with(braid_pairs=CFG.braid_pairs | {frozenset(("a1", "a6"))}),
+     "braid pair {'a1', 'a6'} must be two distinct known curves"),
+    ("mapping-to-a-twistless-curve",
+     lambda: CFG.with_mapping(MappingSymbol("m", (("a1", "a6"),))),
+     "mapping 'm' uses unknown curves"),
+    ("constructor-mapping-with-unknown-curves",
+     lambda: CurveConfiguration(
+         CFG.twist_of_curve, CFG.braid_pairs, CFG.disjoint_pairs, CFG.chain_relations,
+         CFG.definitions, {"m": MappingSymbol("m", (("zz", "a1"),))}),
+     "mapping 'm' uses unknown curves"),
+    ("mapping-registered-under-another-name",
+     _with(mappings={"m": MappingSymbol("n", (("a1", "a2"),))}),
+     "mapping 'n' is registered as 'm'"),
+    ("mapping-sends-a-braid-pair-to-a-disjoint-pair",
+     lambda: CFG.with_mapping(MappingSymbol("m", (("a1", "a2"), ("a2", "a4")))),
+     "mapping 'm' sends the braid pair a1,a2 to the disjoint pair a2,a4"),
+]
+
+
+@pytest.mark.parametrize("build, message", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_configurations_are_refused_when_built(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert message in str(err.value)
 
 
 # Every raise in the move functions, with the exact reason it reports.
@@ -410,15 +463,10 @@ def test_free_cancel_inverse_spells_each_symbol_as_the_printer_does():
 
 
 def test_step_data_for_odd_mapping_names_is_read_as_the_parser_reads_it():
-    # `map` lines accept any name; the token table must not read these
-    # spellings differently from parse_letters
-    odd = CFG.with_mapping(MappingSymbol("1", (("a1", "a2"),))).with_mapping(
-        MappingSymbol("m^2", (("a2", "a1"),)))
-    for data, reason in (
-        ("1", "step data must be one symbol, got '1'"),
-        ("m^2", "unknown symbol 'm'"),
-        ("m^2^1", "malformed exponent in token 'm^2^1'"),
-    ):
-        with pytest.raises(MoveError) as err:
-            apply_step(W("t1"), Step("free-insert", 0, data), odd)
-        assert err.value.reason == reason
+    # names the parser would read as something else are refused where the
+    # configuration is built, so every table spelling reads as the parser reads it
+    for name in ("1", "m^2", "m n", ""):
+        with pytest.raises(ValueError, match="is not an identifier"):
+            CFG.with_mapping(MappingSymbol(name, (("a1", "a2"),)))
+    for token, letter in CFG_G._letter_of_token.items():
+        assert parse_letters(token, CFG_G.check_symbol) == [letter]
