@@ -17,7 +17,6 @@ from .twists import (
     MappingSymbol,
     Step,
     TwistWord,
-    apply_move,
     apply_step,
     default_configuration,
 )

@@ -23,7 +23,8 @@ class ExpansionNotFound(Exception):
 
 
 class CommutatorFactor(NamedTuple):
-    """One factor ``conjugator * [left, right] * conjugator^-1``."""
+    """One factor ``conjugator * [left, right] * conjugator^-1``; the words are
+    ``Word``s, or ``TwistWord``s in a ``certificates.TwistCommutatorExpression``."""
 
     conjugator: Word
     left: Word
@@ -186,16 +187,6 @@ def _admit(r: int, k: int) -> None:
                          f"MAX_EXPANSION_FACTORS = {MAX_EXPANSION_FACTORS}")
 
 
-def _culler_factors(u: Word, v: Word, k: int) -> list[tuple[Word, Word, Word]]:
-    """Uncertified factors of [u,v]^k: the witness for x, y with u, v substituted."""
-    images = {"x": u, "y": v}
-    one = Word.identity()
-    triples = [(one, substitute(p, images), substitute(q, images)) for p, q in _witnesses(k)]
-    if k % 2 == 0:
-        triples.append((one, u, v))
-    return triples
-
-
 def _certified(triples: list[tuple[Word, Word, Word]], target: Word, count: int,
                label: str) -> CommutatorExpression:
     """The expression of ``triples`` and ``target``, once it passes its checks."""
@@ -208,9 +199,9 @@ def _certified(triples: list[tuple[Word, Word, Word]], target: Word, count: int,
 
 
 def culler_expand(u: Word, v: Word, k: int) -> CommutatorExpression:
-    """Write ``[u,v]^k`` as a certified product of floor(k/2)+1 commutators."""
-    _admit(1, k)
-    return _certified(_culler_factors(u, v, k), commutator(u, v) ** k, cl_upper(1, k), f"k={k}")
+    """Write ``[u,v]^k`` as a certified product of floor(k/2)+1 commutators:
+    the Bavard expansion with one pair."""
+    return bavard_expand([(u, v)], k)
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +214,24 @@ def bavard_expand(pairs: Sequence[tuple[Word, Word]], k: int) -> CommutatorExpre
     With u = [u1,v1] and v the product of the remaining commutators, the
     shuffle identity turns (u v)^k into k conjugates of v (each a product
     of r-1 conjugated commutators) followed by u^k, which Culler's
-    factors handle.  Oversized requests are refused before any word is built.
+    factors handle: the witness for [x,y]^k with u1, v1 substituted for
+    x, y.  Oversized requests are refused before any word is built.
     """
     r = len(pairs)
     _admit(r, k)
+    (a0, b0), rest = pairs[0], pairs[1:]
+    u, one = commutator(a0, b0), Word.identity()
     if k == 1:
-        triples = [(Word.identity(), a, b) for a, b in pairs]
+        triples = [(one, a, b) for a, b in pairs]
     else:
-        (a0, b0), rest = pairs[0], pairs[1:]
-        u = commutator(a0, b0)
         triples = []
-        for i in range(1, k + 1):
-            ui = u ** i
-            triples.extend((ui, a, b) for a, b in rest)
-        triples += _culler_factors(a0, b0, k)
-    base = multiply(*(commutator(a, b) for a, b in pairs))
+        if rest:
+            for i in range(1, k + 1):
+                ui = u ** i
+                triples.extend((ui, a, b) for a, b in rest)
+        images = {"x": a0, "y": b0}
+        triples += [(one, substitute(p, images), substitute(q, images)) for p, q in _witnesses(k)]
+        if k % 2 == 0:
+            triples.append((one, a0, b0))
+    base = multiply(u, *(commutator(a, b) for a, b in rest)) if rest else u
     return _certified(triples, base ** k, cl_upper(r, k), f"r={r}, k={k}")

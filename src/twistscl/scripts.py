@@ -16,9 +16,10 @@ Text format (line oriented, ``#`` starts a comment):
     step <move> @<position> [<data>]
     claim <twist word>
 
-A binding named ``source`` is required.  Bound names can be used as
-symbols inside later words; ``name^-1`` is the inverse of the bound
-word and ``name^3`` spells it three times.
+A binding named ``source`` is required.  A bound name is an identifier
+that names no twist or mapping symbol, so each token means one thing.
+Bound names can be used as symbols inside later words; ``name^-1`` is
+the inverse of the bound word and ``name^3`` spells it three times.
 """
 
 from __future__ import annotations
@@ -169,6 +170,8 @@ def parse_script(
                 if not arrow or not src or not dst:
                     raise ScriptSyntaxError(line_no, f"malformed pair {chunk!r}")
                 pairs.append((src, dst))
+            if name in bindings:
+                raise ScriptSyntaxError(line_no, f"symbol name {name!r} already in use")
             try:
                 config = config.with_mapping(MappingSymbol(name, tuple(pairs)))
             except ValueError as err:
@@ -180,6 +183,10 @@ def parse_script(
                 raise ScriptSyntaxError(line_no, "let needs `let <name> = <word>`")
             if name in bindings:
                 raise ScriptSyntaxError(line_no, f"binding {name!r} redefined")
+            if not name.isidentifier():
+                raise ScriptSyntaxError(line_no, f"binding name {name!r} is not an identifier")
+            if name in config.curve_of_twist or name in config.mappings:
+                raise ScriptSyntaxError(line_no, f"symbol name {name!r} already in use")
             bindings[name] = _expand_bindings(body.strip(), bindings, config, line_no)
         elif head == "claim":
             if claimed is not None:

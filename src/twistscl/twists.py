@@ -472,26 +472,13 @@ def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> Twist
     return _rewrite(word, step, config)[0]
 
 
-def apply_move(
-    word: TwistWord, move: str, position: int, config: CurveConfiguration, data: str = ""
-) -> TwistWord:
-    return apply_step(word, Step(move, position, data), config)
-
-
-def inverse_step(
-    word_before: TwistWord, step: Step, config: CurveConfiguration
-) -> Step:
-    """The move that undoes ``step`` (applied to the step's output).
-
-    Raises MoveError when ``step`` does not apply to ``word_before``.
-    """
-    return _rewrite(word_before, step, config)[1]
-
-
 def invert_steps(
     source: TwistWord, steps: Iterable[Step], config: CurveConfiguration
 ) -> tuple[TwistWord, list[Step]]:
-    """Replay ``steps`` from ``source``; return (final word, reversed inverses)."""
+    """Replay ``steps`` from ``source``; return (final word, reversed inverses).
+
+    Raises MoveError at the first step that does not apply.
+    """
     word = source
     inverses: list[Step] = []
     for step in steps:

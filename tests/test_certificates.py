@@ -50,6 +50,13 @@ def test_four_twist_certificate_script_is_checkable_independently():
     assert check_script(cert.script, cert.config).accepted
 
 
+def test_four_twist_refuses_a_different_declared_mapping_of_the_same_name():
+    g, _ = standard_mappings()
+    cfg = CFG.with_mapping(MappingSymbol("g", (("a4", "a2"), ("alpha", "a3"))))
+    with pytest.raises(ValueError, match="symbol name 'g' already in use"):
+        four_twist_commutator("a4", "alpha", "a5", "a1", g, cfg)
+
+
 # ---------------------------------------------------------------------------
 # tenth_power_certificate
 # ---------------------------------------------------------------------------
@@ -74,6 +81,29 @@ def test_tenth_power_script_is_built_once_and_replayed_on_every_call():
     # the shared script is re-checked against each caller's configuration
     assert first.certified and again.certified and not broken.certified
     assert first.report is not again.report and first.report == again.report
+
+
+def test_tenth_power_reuses_identical_declared_mappings():
+    g, h = standard_mappings()
+    cfg = CFG.with_mapping(g).with_mapping(h)
+    cert = tenth_power_certificate(cfg)
+    assert cert.certified and cert.config is cfg
+
+
+def test_certified_needs_a_script_that_claims_the_target():
+    cert = tenth_power_certificate(CFG)
+    # an honest replay of a script that proves something else
+    script = cert.script._replace(steps=cert.script.steps + (Step("free-insert", 10, "t1"),),
+                                  claimed=W("t2^10 t1 t1^-1"))
+    report = check_script(script, cert.config)
+    assert report.accepted and report.value_preserving()
+    assert not cert._replace(script=script, report=report).certified
+
+
+def test_certified_needs_the_script_to_spell_the_expression():
+    g, _ = standard_mappings()
+    other = four_twist_commutator("a4", "alpha", "a5", "a1", g, CFG).expression
+    assert not tenth_power_certificate(CFG)._replace(expression=other).certified
 
 
 def test_tenth_power_fails_without_chain_relation():

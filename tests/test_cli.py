@@ -178,6 +178,7 @@ def _refused_argv(tmp_path, argv):
     (tmp_path / "syntax.script").write_text("let source = t1\nstep\nclaim t1\n")
     (tmp_path / "not_a_function.script").write_text(NOT_A_FUNCTION)
     (tmp_path / "braid_to_disjoint.script").write_text(BRAID_PAIR_TO_DISJOINT_PAIR)
+    (tmp_path / "shadow.script").write_text("let t_alpha = t3\nlet source = t_alpha\nclaim t3\n")
     return [arg.format(tmp=tmp_path) for arg in argv]
 
 
@@ -193,6 +194,8 @@ REFUSED = [
      "check-script", "line 1: mapping 'g' must name each curve at most once on each side"),
     ("check-script-map-braid-to-disjoint", ["check-script", "{tmp}/braid_to_disjoint.script"],
      "check-script", "line 1: mapping 'g' sends the braid pair a1,a2 to the disjoint pair a2,a4"),
+    ("check-script-let-shadows-a-twist", ["check-script", "{tmp}/shadow.script"],
+     "check-script", "line 1: symbol name 't_alpha' already in use"),
     ("expand-culler-k0", ["expand", "culler", "--k", "0"], "expand culler", "power must be >= 1"),
     ("expand-bavard-r0", ["expand", "bavard", "--r", "0", "--k", "3"], "expand bavard",
      "need at least one commutator pair"),

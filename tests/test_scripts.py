@@ -141,6 +141,11 @@ def test_parser_crlf_normalization():
     ("let source t1\nclaim t1", "line 1: let needs `let <name> = <word>`"),
     ("let source = t1\nclaim t1\nclaim t1", "line 3: duplicate claim"),
     ("map m^2 a1->a2\nlet source = t1\nclaim t1", "line 1: symbol name 'm^2' is not an identifier"),
+    # a binding may not shadow a symbol, nor a mapping a binding
+    ("let t_alpha = t3\nlet source = t_alpha\nclaim t3", "line 1: symbol name 't_alpha' already in use"),
+    ("map g a1->a2\nlet g = t2\nlet source = g\nclaim t2", "line 2: symbol name 'g' already in use"),
+    ("let g = t2\nmap g a1->a2\nlet source = g\nclaim t2", "line 2: symbol name 'g' already in use"),
+    ("let p^2 = t1\nlet source = t1\nclaim t1", "line 1: binding name 'p^2' is not an identifier"),
 ])
 def test_parser_rejects_malformed_scripts(bad, message):
     with pytest.raises(ScriptSyntaxError) as err:

@@ -12,10 +12,8 @@ from twistscl.twists import (
     Step,
     TwistWord,
     UnregisteredRelation,
-    apply_move,
     apply_step,
     default_configuration,
-    inverse_step,
     invert_steps,
 )
 
@@ -91,72 +89,72 @@ def test_twist_word_reduce():
 # ---------------------------------------------------------------------------
 
 def test_braid_move():
-    assert apply_move(W("t1 t2 t1"), "braid", 0, CFG) == W("t2 t1 t2")
-    assert apply_move(W("t2 t1 t2"), "braid", 0, CFG) == W("t1 t2 t1")
-    assert apply_move(W("t1^-1 t2^-1 t1^-1"), "braid", 0, CFG) == W("t2^-1 t1^-1 t2^-1")
+    assert apply_step(W("t1 t2 t1"), Step("braid", 0), CFG) == W("t2 t1 t2")
+    assert apply_step(W("t2 t1 t2"), Step("braid", 0), CFG) == W("t1 t2 t1")
+    assert apply_step(W("t1^-1 t2^-1 t1^-1"), Step("braid", 0), CFG) == W("t2^-1 t1^-1 t2^-1")
 
 
 def test_braid_on_disjoint_pair_is_unregistered():
     # the pair is named in sorted order, independent of string hashing
     with pytest.raises(UnregisteredRelation, match=r"\{'a1', 'a3'\} is not a registered braid"):
-        apply_move(W("t1 t3 t1"), "braid", 0, CFG)
+        apply_step(W("t1 t3 t1"), Step("braid", 0), CFG)
 
 
 def test_braid_pattern_mismatch():
     with pytest.raises(PatternMismatch):
-        apply_move(W("t1 t2 t2"), "braid", 0, CFG)
+        apply_step(W("t1 t2 t2"), Step("braid", 0), CFG)
     with pytest.raises(PatternMismatch):
-        apply_move(W("t1 t2^-1 t1"), "braid", 0, CFG)
+        apply_step(W("t1 t2^-1 t1"), Step("braid", 0), CFG)
 
 
 def test_commute_move():
-    assert apply_move(W("t1 t3"), "commute", 0, CFG) == W("t3 t1")
-    assert apply_move(W("t4 t2^-1"), "commute", 0, CFG) == W("t2^-1 t4")
+    assert apply_step(W("t1 t3"), Step("commute", 0), CFG) == W("t3 t1")
+    assert apply_step(W("t4 t2^-1"), Step("commute", 0), CFG) == W("t2^-1 t4")
 
 
 def test_commute_on_braid_pair_is_unregistered():
     for word in (W("t1 t2"), W("t2 t1")):
         with pytest.raises(UnregisteredRelation, match=r"\{'a1', 'a2'\} is not a registered disjoint"):
-            apply_move(word, "commute", 0, CFG)
+            apply_step(word, Step("commute", 0), CFG)
 
 
 def test_chain_substitute_both_directions():
-    expanded = apply_move(W("t4 t5"), "chain-substitute", 0, CFG)
+    expanded = apply_step(W("t4 t5"), Step("chain-substitute", 0), CFG)
     assert expanded == W("t1 t2 t3 t1 t2 t3 t1 t2 t3 t1 t2 t3")
-    assert apply_move(expanded, "chain-substitute", 0, CFG) == W("t4 t5")
+    assert apply_step(expanded, Step("chain-substitute", 0), CFG) == W("t4 t5")
 
 
 def test_chain_substitute_inverse_side():
     w = W("t5^-1 t4^-1")
     expected = W("t1 t2 t3 t1 t2 t3 t1 t2 t3 t1 t2 t3").inverse()
-    assert apply_move(w, "chain-substitute", 0, CFG) == expected
+    assert apply_step(w, Step("chain-substitute", 0), CFG) == expected
 
 
 def test_chain_substitute_without_relation():
     with pytest.raises(UnregisteredRelation, match="^@0: no chain relation is registered$"):
-        apply_move(W("t4 t5"), "chain-substitute", 0, CFG.without_chain_relations())
+        apply_step(W("t4 t5"), Step("chain-substitute", 0), CFG.without_chain_relations())
 
 
 def test_free_insert_and_cancel():
-    w = apply_move(W("t1 t2"), "free-insert", 1, CFG, data="t3^-1")
+    w = apply_step(W("t1 t2"), Step("free-insert", 1, "t3^-1"), CFG)
     assert w == W("t1 t3^-1 t3 t2")
-    assert apply_move(w, "free-cancel", 1, CFG) == W("t1 t2")
+    assert apply_step(w, Step("free-cancel", 1), CFG) == W("t1 t2")
     with pytest.raises(PatternMismatch):
-        apply_move(W("t1 t2"), "free-cancel", 0, CFG)
+        apply_step(W("t1 t2"), Step("free-cancel", 0), CFG)
 
 
 def test_definition_substitute_expand_and_fold():
-    w = apply_move(W("t_alpha"), "definition-substitute", 0, CFG, data="alpha")
+    w = apply_step(W("t_alpha"), Step("definition-substitute", 0, "alpha"), CFG)
     assert w == W("t2 t2 t3 t2^-1 t2^-1")
-    assert apply_move(w, "definition-substitute", 0, CFG, data="alpha") == W("t_alpha")
-    w = apply_move(W("t_beta^-1"), "definition-substitute", 0, CFG, data="beta")
+    assert apply_step(w, Step("definition-substitute", 0, "alpha"), CFG) == W("t_alpha")
+    w = apply_step(W("t_beta^-1"), Step("definition-substitute", 0, "beta"), CFG)
     assert w == W("t2^3 t3^-1 t2^-3")
 
 
 def test_conjugate_equation_seam_cancellation():
-    w = apply_move(W("t2 t1"), "conjugate-equation", 0, CFG, data="t2^-1")
+    w = apply_step(W("t2 t1"), Step("conjugate-equation", 0, "t2^-1"), CFG)
     assert w == W("t1 t2")  # left seam cancels, right seam appends
-    w2 = apply_move(W("t1"), "conjugate-equation", 0, CFG, data="t3 t2")
+    w2 = apply_step(W("t1"), Step("conjugate-equation", 0, "t3 t2"), CFG)
     assert w2 == W("t3 t2 t1 t2^-1 t3^-1")
 
 
@@ -166,21 +164,22 @@ def test_conjugate_equation_seam_cancellation():
 def test_conjugate_equation_inverse_restores_an_unreduced_seam():
     word, step = W("t3^-1 t3 t1"), Step("conjugate-equation", 0, "t3")
     after = apply_step(word, step, CFG)  # t3 t1 t3^-1
-    assert apply_step(after, inverse_step(word, step, CFG), CFG) == word
+    _, (inverse,) = invert_steps(word, [step], CFG)
+    assert apply_step(after, inverse, CFG) == word
 
 
 def test_twist_naturality_with_declared_mapping():
     g = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
     cfg = CFG.with_mapping(g)
     w = cfg.word("g t4 g^-1")
-    assert apply_move(w, "twist-naturality", 0, cfg, data="g") == cfg.word("t1")
+    assert apply_step(w, Step("twist-naturality", 0, "g"), cfg) == cfg.word("t1")
     # expand back
-    assert apply_move(cfg.word("t1"), "twist-naturality", 0, cfg, data="g") == w
+    assert apply_step(cfg.word("t1"), Step("twist-naturality", 0, "g"), cfg) == w
     # inverse orientation uses the preimage
     w2 = cfg.word("g^-1 t1 g")
-    assert apply_move(w2, "twist-naturality", 0, cfg, data="g") == cfg.word("t4")
+    assert apply_step(w2, Step("twist-naturality", 0, "g"), cfg) == cfg.word("t4")
     with pytest.raises(UnregisteredRelation):
-        apply_move(cfg.word("g t2 g^-1"), "twist-naturality", 0, cfg, data="g")
+        apply_step(cfg.word("g t2 g^-1"), Step("twist-naturality", 0, "g"), cfg)
 
 
 def test_mapping_symbols_must_be_injective():
@@ -232,7 +231,8 @@ def test_moves_are_reversible_on_random_derivations():
             # constructor check must accept every word they build.
             assert type(after.symbols) is tuple
             assert TwistWord(after.symbols) == after
-            back = apply_step(after, inverse_step(word, step, cfg), cfg)
+            _, (inverse,) = invert_steps(word, [step], cfg)
+            back = apply_step(after, inverse, cfg)
             assert back == word, (str(word), step)
             word = after
     assert all(applied.values()) and sum(applied.values()) > 200, (tried, applied)
@@ -252,9 +252,9 @@ def test_inverse_step_refuses_a_step_that_does_not_apply():
         (W("t1"), Step("free-insert", 5, "t2")),
     ):
         with pytest.raises(MoveError):
-            inverse_step(word, step, cfg)
+            invert_steps(word, [step], cfg)
     with pytest.raises(ValueError, match="unknown move kind"):
-        inverse_step(W("t1"), Step("no-such-move", 0), cfg)
+        invert_steps(W("t1"), [Step("no-such-move", 0)], cfg)
 
 
 def test_invert_steps_round_trip():
@@ -455,11 +455,12 @@ def test_free_cancel_inverse_spells_each_symbol_as_the_printer_does():
     for name in (*CFG_G.curve_of_twist, *CFG_G.mappings):
         for sign in (1, -1):
             word = TwistWord([(name, sign), (name, -sign)])
-            inverse = inverse_step(word, Step("free-cancel", 0), CFG_G)
-            assert inverse == Step("free-insert", 0, str(TwistWord([(name, sign)])))
+            _, inverses = invert_steps(word, [Step("free-cancel", 0)], CFG_G)
+            assert inverses == [Step("free-insert", 0, str(TwistWord([(name, sign)])))]
     # a symbol outside the alphabet is still spelled by the printer
     stray = TwistWord([("zz", -1), ("zz", 1)])
-    assert inverse_step(stray, Step("free-cancel", 0), CFG) == Step("free-insert", 0, "zz^-1")
+    _, inverses = invert_steps(stray, [Step("free-cancel", 0)], CFG)
+    assert inverses == [Step("free-insert", 0, "zz^-1")]
 
 
 def test_step_data_for_odd_mapping_names_is_read_as_the_parser_reads_it():
