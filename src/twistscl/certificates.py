@@ -46,9 +46,11 @@ class CertifiedExpression(NamedTuple):
 
     @property
     def certified(self) -> bool:
-        """The replay is accepted and value preserving, and the script runs
-        from the expression's spelling to its target."""
+        """The replay is accepted and value preserving, it replayed the
+        script's steps, and the script runs from the expression's spelling
+        to its target."""
         return (self.report.accepted and self.report.value_preserving()
+                and tuple(rec.step for rec in self.report.records) == self.script.steps
                 and self.script.source == self.expression.spelled()
                 and self.script.claimed == self.expression.target)
 
@@ -56,10 +58,12 @@ class CertifiedExpression(NamedTuple):
 def _certify(expr: TwistCommutatorExpression, script: ProofScript,
              cfg: CurveConfiguration, mappings: tuple[MappingSymbol, ...]) -> CertifiedExpression:
     """Replay ``script`` against ``cfg`` extended by ``mappings``.  A mapping
-    ``cfg`` already declares identically is reused; ``with_mapping`` refuses
-    a different mapping of the same name with ``ValueError``."""
+    ``cfg`` already declares as the same partial bijection (the same pairs,
+    in any order) is reused; ``with_mapping`` refuses a different mapping of
+    the same name with ``ValueError``."""
     for mapping in mappings:
-        if cfg.mappings.get(mapping.name) != mapping:
+        declared = cfg.mappings.get(mapping.name)
+        if declared is None or set(declared.mapping) != set(mapping.mapping):
             cfg = cfg.with_mapping(mapping)
     return CertifiedExpression(expr, script, cfg, check_script(script, cfg))
 

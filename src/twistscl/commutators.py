@@ -38,12 +38,19 @@ class CommutatorExpression(NamedTuple):
     target: Word
 
     def value(self) -> Word:
-        # Each factor spells c l r l^-1 r^-1 c^-1: six reduced pieces, all
-        # folded into one reduction pass.
-        pieces = []
+        # Each factor spells c l r l^-1 r^-1 c^-1, but a run of factors with
+        # one conjugator is spelled c [l1,r1]...[lj,rj] c^-1, since
+        # c A c^-1 c B c^-1 = c AB c^-1: each run's conjugator is read once
+        # (``is`` first, as bavard_expand shares one u^i per run).  All
+        # pieces fold in one reduction pass.
+        pieces, conj = [], ()
         for c, l, r in self.factors:
             c, l, r = c.letters, l.letters, r.letters
-            pieces += (c, l, r, inverse_letters(l), inverse_letters(r), inverse_letters(c))
+            if c is not conj and c != conj:
+                pieces += (inverse_letters(conj), c)
+                conj = c
+            pieces += (l, r, inverse_letters(l), inverse_letters(r))
+        pieces.append(inverse_letters(conj))
         return Word._raw(join_all(pieces))
 
     def factor_count(self) -> int:

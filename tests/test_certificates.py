@@ -90,6 +90,18 @@ def test_tenth_power_reuses_identical_declared_mappings():
     assert cert.certified and cert.config is cfg
 
 
+def test_tenth_power_reuses_a_declared_mapping_with_its_pairs_reordered():
+    cfg = CFG.with_mapping(MappingSymbol("g", (("alpha", "a5"), ("a4", "a1"))))
+    cert = tenth_power_certificate(cfg)
+    assert cert.certified
+    assert cert.config.mappings["g"] is cfg.mappings["g"]
+
+
+def test_certified_needs_the_report_to_replay_the_script():
+    cert = tenth_power_certificate(CFG)
+    assert not cert._replace(script=cert.script._replace(steps=(Step("braid", 0),))).certified
+
+
 def test_certified_needs_a_script_that_claims_the_target():
     cert = tenth_power_certificate(CFG)
     # an honest replay of a script that proves something else

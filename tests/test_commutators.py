@@ -364,10 +364,91 @@ def test_expression_value_is_the_product_of_factor_values():
         for k in range(1, 13)
     ]
     for expr in exprs:
-        fold = Word.identity()
-        for f in expr.factors:
-            fold = fold * commutator(f.left, f.right).conjugate(f.conjugator)
-        assert expr.value().letters == fold.letters
+        assert expr.value().letters == _per_factor_product(expr).letters
+
+
+def _per_factor_product(expr):
+    """The factors multiplied out one at a time, each conjugated in full."""
+    fold = Word.identity()
+    for f in expr.factors:
+        fold = fold * commutator(f.left, f.right).conjugate(f.conjugator)
+    return fold
+
+
+def _reduced_word(rng, n, names=("a", "b", "c", "d")):
+    """A freely reduced word of exactly n letters."""
+    out = []
+    while len(out) < n:
+        letter = (rng.choice(names), rng.choice((1, -1)))
+        if not out or out[-1] != (letter[0], -letter[1]):
+            out.append(letter)
+    return Word(out)
+
+
+def test_value_folds_runs_of_one_conjugator_exactly():
+    rng = random.Random(20261019)
+    one = Word.identity()
+    for _ in range(40):
+        c, d = (random_word(rng, rng.randint(1, 6), "abc") for _ in range(2))
+        # equal conjugators that are distinct objects, as well as shared ones
+        c_again = Word(c.letters)
+        for pattern in ((c, c, d, c), (one, c, c, d, c_again, one),
+                        (one, one, c, c_again, d, one, c, c), (d, one, d, d)):
+            factors = [(conj, random_word(rng, rng.randint(0, 4), "abc"),
+                        random_word(rng, rng.randint(0, 4), "abc")) for conj in pattern]
+            expr = expression(factors, one)
+            assert expr.value().letters == _per_factor_product(expr).letters
+
+
+def _tampered(expr, index, **change):
+    factors = list(expr.factors)
+    factors[index] = factors[index]._replace(**change)
+    return expr._replace(factors=tuple(factors))
+
+
+def test_a_tampered_letter_inside_a_shared_conjugator_run_is_rejected():
+    rng = random.Random(14)
+    expr = bavard_expand([(_reduced_word(rng, 6), _reduced_word(rng, 6)) for _ in range(4)], 5)
+    assert verify_expression(expr)
+    # factor 4 is the middle one of u^2's run of three
+    assert expr.factors[3].conjugator is expr.factors[4].conjugator is expr.factors[5].conjugator
+    f = expr.factors[4]
+    for left in (f.left * Word.generator("a"), Word(f.left.letters[:-1] + (("z", 1),))):
+        assert not verify_expression(_tampered(expr, 4, left=left))
+    assert not verify_expression(_tampered(expr, 4, right=~f.right))
+
+
+def test_a_tampered_conjugator_inside_a_run_is_rejected():
+    rng = random.Random(15)
+    expr = bavard_expand([(_reduced_word(rng, 6), _reduced_word(rng, 6)) for _ in range(4)], 5)
+    c = expr.factors[4].conjugator
+    same_length = Word(c.letters[:-1] + (("z", 1),))
+    for conj in (same_length, c * Word.generator("a"), expr.factors[7].conjugator,
+                 Word.identity()):
+        assert not verify_expression(_tampered(expr, 4, conjugator=conj))
+    # an equal conjugator spelled as a new object is still the same run
+    assert verify_expression(_tampered(expr, 4, conjugator=Word(c.letters)))
+
+
+def test_bavard_check_reads_each_run_conjugator_once(monkeypatch):
+    import twistscl.commutators as commutators
+
+    read = []
+    real = commutators.join_all
+
+    def counting(pieces):
+        pieces = list(pieces)
+        read.append(sum(map(len, pieces)))
+        return real(pieces)
+
+    rng = random.Random(5)
+    pairs = [(_reduced_word(rng, 16), _reduced_word(rng, 16)) for _ in range(30)]
+    monkeypatch.setattr(commutators, "join_all", counting)
+    expr = bavard_expand(pairs, 42)
+    u = commutator(*pairs[0])
+    conjugators = 2 * sum(len(u ** i) for i in range(1, 43))
+    commutators_ = 2 * sum(len(f.left) + len(f.right) for f in expr.factors)
+    assert read == [conjugators + commutators_]
 
 
 def test_as_commutator_answers_match_the_rebuilding_search():
