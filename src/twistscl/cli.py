@@ -73,14 +73,17 @@ _Outcome = tuple[str, dict[str, Any], Optional[dict[str, Any]]]
 
 
 def _expression_payload(expr) -> dict[str, Any]:
-    """Factor list for either word-level or twist-level expressions."""
-    return {
-        "target": str(expr.target),
-        "factors": [
-            {"conjugator": str(f.conjugator), "left": str(f.left), "right": str(f.right)}
-            for f in expr.factors
-        ],
-    }
+    """Factor list for either word-level or twist-level expressions.
+
+    A conjugator shared with the previous factor (``bavard_expand`` shares
+    one ``u**i`` per run) is printed once.
+    """
+    factors, conjugator, text = [], None, ""
+    for f in expr.factors:
+        if f.conjugator is not conjugator:
+            conjugator, text = f.conjugator, str(f.conjugator)
+        factors.append({"conjugator": text, "left": str(f.left), "right": str(f.right)})
+    return {"target": str(expr.target), "factors": factors}
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .twists import (
     MOVE_KINDS,
     Step,
     TwistWord,
+    _new_tuple,
     apply_step,
 )
 from .words import MAX_PARSED_LETTERS, Letter, inverse_letters, parse_letters
@@ -40,6 +41,8 @@ from .words import MAX_PARSED_LETTERS, Letter, inverse_letters, parse_letters
 # Most symbols a replay's records may hold in all, summed over every
 # intermediate word; a longer replay is refused at the step that passes it.
 MAX_REPLAY_SYMBOLS = 10**7
+
+_MOVE_KINDS = frozenset(MOVE_KINDS)
 
 
 class ProofScript(NamedTuple):
@@ -90,7 +93,7 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
         if held > MAX_REPLAY_SYMBOLS:
             raise ValueError(f"step {i}: replay holds more than "
                              f"MAX_REPLAY_SYMBOLS = {MAX_REPLAY_SYMBOLS} symbols")
-        records.append(StepRecord(i, step, word))
+        records.append(_new_tuple(StepRecord, (i, step, word)))
     else:
         if word != script.claimed:
             failure = (len(script.steps), f"final word {word} differs from the claim")
@@ -113,14 +116,21 @@ class ScriptSyntaxError(ValueError):
 def _expand_bindings(
     text: str, bindings: dict[str, TwistWord], config: CurveConfiguration, line_no: int
 ) -> TwistWord:
+    bound_names = False
+
     def check(name: str) -> None:
-        if name not in bindings:
+        nonlocal bound_names
+        if name in bindings:
+            bound_names = True
+        else:
             config.check_symbol(name)
 
     try:
         letters = parse_letters(text, check)
     except ValueError as err:
         raise ScriptSyntaxError(line_no, str(err)) from None
+    if not bound_names:  # the letters are the symbols, already capped
+        return TwistWord._raw(tuple(letters))
     symbols: list[Letter] = []
     for name, sign in letters:
         bound = bindings.get(name)
@@ -143,25 +153,26 @@ def parse_script(
     steps: list[Step] = []
     claimed: Optional[TwistWord] = None
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # The line is stripped once: split(None) skips the whitespace
+        # between fields, and data ends where the line does.
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        rest = rest.strip()
         if head == "step":
             parts = rest.split(None, 2)
             if len(parts) < 2 or not parts[1].startswith("@"):
                 raise ScriptSyntaxError(line_no, "step needs `step <move> @<index> [data]`")
             move = parts[0]
-            if move not in MOVE_KINDS:
+            if move not in _MOVE_KINDS:
                 raise ScriptSyntaxError(line_no, f"unknown move {move!r}")
             try:
                 position = int(parts[1][1:])
             except ValueError:
                 raise ScriptSyntaxError(line_no, f"bad position {parts[1]!r}") from None
-            steps.append(Step(move, position, parts[2].strip() if len(parts) > 2 else ""))
+            steps.append(_new_tuple(Step, (move, position, parts[2] if len(parts) > 2 else "")))
         elif head == "map":
-            name, _, pairs_text = rest.partition(" ")
+            name, _, pairs_text = rest.strip().partition(" ")
             if not name or not pairs_text:
                 raise ScriptSyntaxError(line_no, "map needs a name and curve pairs")
             pairs = []

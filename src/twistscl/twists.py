@@ -68,8 +68,8 @@ class TwistWord:
         both of which check signs, so words built from other words'
         symbols need no second check.
         """
-        w = cls.__new__(cls)
-        object.__setattr__(w, "symbols", symbols)
+        w = _new_object(cls)
+        _set_symbols(w, symbols)
         return w
 
     @classmethod
@@ -100,6 +100,14 @@ class TwistWord:
 
     def __str__(self) -> str:
         return format_letters(self.symbols)
+
+
+# Prebound for the hot constructors: ``_raw`` fills the slot directly, past
+# the refusing ``__setattr__``, and the moves build ``Step``s as plain
+# tuples of the subclass, past the NamedTuple's Python-level ``__new__``.
+_new_object = object.__new__
+_set_symbols = TwistWord.symbols.__set__
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -341,7 +349,8 @@ def _free_insert(syms, step, config) -> _Rewrite:
     if p > len(syms):
         raise PatternMismatch(p, "insertion point outside the word")
     name, sign = _step_symbol(step, config)
-    return syms[:p] + ((name, sign), (name, -sign)) + syms[p:], Step("free-cancel", p)
+    out = syms[:p] + ((name, sign), (name, -sign)) + syms[p:]
+    return out, _new_tuple(Step, ("free-cancel", p, ""))
 
 
 def _free_cancel(syms, step, config) -> _Rewrite:
@@ -350,23 +359,25 @@ def _free_cancel(syms, step, config) -> _Rewrite:
     if a[0] != b[0] or a[1] != -b[1]:
         raise PatternMismatch(p, f"{a} {b} is not an inverse pair")
     spelling = config._token_of_letter.get(a) or format_letters((a,))
-    return syms[:p] + syms[p + 2 :], Step("free-insert", p, spelling)
+    return syms[:p] + syms[p + 2 :], _new_tuple(Step, ("free-insert", p, spelling))
 
 
+# braid and commute splice the matched letters back in, reordered, rather
+# than allocate equal new ones.
 def _braid(syms, step, config) -> _Rewrite:
     p = step.position
-    (s1, e1), (s2, e2), (s3, e3) = _window(syms, step, 3)
-    if not (s1 == s3 and e1 == e2 == e3):
+    a, b, c = _window(syms, step, 3)
+    if a != c or a[1] != b[1]:
         raise PatternMismatch(p, "braid needs s t s with a uniform sign")
-    _check_pair(config, step, s1, s2, "braid")
-    return syms[:p] + ((s2, e1), (s1, e1), (s2, e1)) + syms[p + 3 :], step
+    _check_pair(config, step, a[0], b[0], "braid")
+    return syms[:p] + (b, a, b) + syms[p + 3 :], step
 
 
 def _commute(syms, step, config) -> _Rewrite:
     p = step.position
-    (s1, e1), (s2, e2) = _window(syms, step, 2)
-    _check_pair(config, step, s1, s2, "disjoint")
-    return syms[:p] + ((s2, e2), (s1, e1)) + syms[p + 2 :], step
+    a, b = _window(syms, step, 2)
+    _check_pair(config, step, a[0], b[0], "disjoint")
+    return syms[:p] + (b, a) + syms[p + 2 :], step
 
 
 def _chain_substitute(syms, step, config) -> _Rewrite:

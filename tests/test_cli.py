@@ -6,14 +6,15 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from twistscl import cli, scripts
+from twistscl import cli, commutators, scripts
 from twistscl.commutators import MAX_EXPANSION_FACTORS
 from twistscl.fibration import MAX_MATRIX_SIZE
-from twistscl.words import MAX_PARSED_LETTERS
+from twistscl.words import MAX_PARSED_LETTERS, Word, format_letters
 
 from golden_cases import CASES, SCRIPT_PATH
 
@@ -249,6 +250,36 @@ def test_expand_json_flag_works_before_and_after_the_mode(mode, args):
     code, text = run_cli(["expand", mode, *args])
     assert code == 0
     assert text.startswith(f"[ok] expand {mode}\n")
+
+
+def test_expand_emit_prints_each_shared_conjugator_once(monkeypatch):
+    """``bavard_expand`` shares one ``u**i`` across each run of r-1 factors;
+    the emitted payload prints that conjugator once, not once per factor."""
+    built = []
+
+    def expand(*args):
+        built.append(commutators.bavard_expand(*args))
+        return built[-1]
+
+    printed = Counter()
+    to_text = Word.__str__
+
+    def counting_str(word):
+        printed[id(word)] += 1
+        return to_text(word)
+
+    monkeypatch.setattr(cli, "bavard_expand", expand)
+    monkeypatch.setattr(Word, "__str__", counting_str)
+    code, output = run_cli(["expand", "bavard", "--r", "4", "--k", "6", "--emit", "--json"])
+    assert code == 0
+    factors = built[0].factors
+    conjugators = {id(f.conjugator) for f in factors}
+    assert (len(factors), len(conjugators)) == (22, 7)
+    assert all(printed[c] == 1 for c in conjugators)
+    emitted = json.loads(output)["certificate"]["factors"]
+    assert [e["conjugator"] for e in emitted] == [
+        format_letters(f.conjugator.letters) for f in factors
+    ]
 
 
 def test_matrix_beyond_the_cap_is_refused():

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import time
 from importlib import resources
 
@@ -8,11 +10,19 @@ from twistscl.scripts import (
     MAX_REPLAY_SYMBOLS,
     ProofScript,
     ScriptSyntaxError,
+    StepRecord,
     check_script,
     parse_script,
     serialize_script,
 )
-from twistscl.twists import MappingSymbol, Step, default_configuration
+from twistscl.twists import (
+    MOVE_KINDS,
+    MappingSymbol,
+    Step,
+    TwistWord,
+    default_configuration,
+    invert_steps,
+)
 from twistscl.words import MAX_PARSED_LETTERS
 
 CFG = default_configuration()
@@ -243,3 +253,102 @@ def test_replay_at_exactly_the_symbol_budget_is_accepted(monkeypatch):
     monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 14)
     with pytest.raises(ValueError, match="step 2: "):
         check_script(script, cfg)
+
+
+# ---------------------------------------------------------------------------
+# how a line is read, pinned over a corpus of unusual spellings
+# ---------------------------------------------------------------------------
+
+# Each field of a line comes in spellings the parser reads and, now and
+# then, in one it refuses.  Separators include the characters other than
+# space and tab that str.split() takes for whitespace (NBSP, \x0b, \x1c,
+# NEL); after the directive the line is cut at its first space.
+_SEPARATORS = (" ", "  ", "\t", " \t ", "\xa0", "\x0b", "\x1c", " \x85")
+_HEAD_SEPARATORS = ((" ", "  ", " \t"), ("\t", "\xa0"))
+_LINE_ENDS = ("\n", "\r\n", "\r", " \n", "\t\r\n")
+_POSITIONS = (("@0", "@1", "@+3", "@-1", "@03", "@1_0", "@\uff13"), ("@", "@x", "@ 3", "0", ""))
+_KINDS = (MOVE_KINDS, ("Braid", "twist", "free_insert"))
+_DATA = ("", "", "", "t1", "t2^-1", "t1   t2^-1  t3", "t1 # note", "t#1", "alpha", "g",
+         "t_alpha^+1", "u", "t2 \xa0t1")
+_WORDS = (("t1 t2", "t4 t5", "t1 t2^-1 t1", "t1  \t t2^2", "1", ""), ("t9", "t1^0"))
+_MAPPED_WORDS = ("g t4 g^-1", "t1 g^-1")
+_BOUND_WORDS = ("u^-1 t3", "u u^2", "t1 u^-2 u")
+_SOURCE_WORDS = ("source^-1 t1", "source^-1", "source source^2")
+_MAPS = (("map g a4->a1 alpha->a5", "map  g alpha->a5 a4->a1"),
+         ("map g", "map g a1->a2 a1->a3", "map g\ta4->a1"))
+
+
+def _spelled_script(rng) -> str:
+    def pick(choices, extra=()):
+        good, bad = choices
+        return rng.choice(bad if rng.random() < 0.04 else good + extra)
+
+    def sep():
+        return rng.choice(_SEPARATORS)
+
+    lines, words = [], ()
+    if rng.random() < 0.3:
+        lines.append(pick(_MAPS))
+        words += _MAPPED_WORDS
+    if rng.random() < 0.5:
+        lines.append(f"let{pick(_HEAD_SEPARATORS)}u{sep()}={sep()}{pick(_WORDS, words)}")
+        words += _BOUND_WORDS
+    indent = rng.choice(("", "", "", " ", "\t"))
+    lines.append(f"{indent}let source{sep()}={sep()}{pick(_WORDS, words)}")
+    for _ in range(rng.randrange(6)):
+        fields = [pick(_KINDS), pick(_POSITIONS), rng.choice(_DATA)]
+        line = "step" + pick(_HEAD_SEPARATORS) + sep().join(f for f in fields if f)
+        if rng.random() < 0.3:
+            line += rng.choice((" ", "  \t", "\xa0", " # trailing", "# x"))
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("", "   ", "# comment", "\t# indented comment")))
+    if rng.random() < 0.97:
+        claim = pick(_WORDS, words + _SOURCE_WORDS)
+        lines.append(f"claim{pick(_HEAD_SEPARATORS)}{claim}{rng.choice(('', ' #c', '  '))}")
+    end = rng.choice(_LINE_ENDS)
+    return end.join(lines) + end
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        script, cfg = parse_script(text, CFG)
+    except ValueError as err:
+        return repr((type(err).__name__, str(err), getattr(err, "line_no", None)))
+    return repr((script, tuple(cfg.mappings.values())))
+
+
+def test_parse_script_reads_unusual_spellings_as_pinned():
+    """Every outcome, accepted script or refusal, of 600 seeded scripts
+    whose lines vary separators, comments, positions, move kinds, data,
+    bound names and line ends, hashed together."""
+    rng = random.Random(1515)
+    outcomes = [_parse_outcome(_spelled_script(rng)) for _ in range(600)]
+    accepted = sum(o.startswith("(ProofScript(") for o in outcomes)
+    assert 200 < accepted < 400
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "0fb26fcdf9c182854a92c128901031f5f7af9be09711da39566166a306806eec"
+
+
+def test_fast_built_tuples_keep_their_public_types():
+    text = (
+        "map g a4->a1 alpha->a5\nlet source = t4 t5 t1\n"
+        "step free-insert @1 t2^-1\nstep free-cancel @1\nstep commute @0\n"
+        "step twist-naturality @2 g\nstep twist-naturality @2 g\n"
+        "step conjugate-equation @0 t1\nclaim t1 t5 t4\n"
+    )
+    script, cfg = parse_script(text, CFG)
+    report = check_script(script, cfg)
+    assert report.accepted
+    _, inverses = invert_steps(script.source, script.steps, cfg)
+    for kind, built in [(Step, script.steps), (Step, inverses), (StepRecord, report.records)]:
+        for value in built:
+            plain = kind(*value)
+            assert type(value) is kind and len(value) == len(kind._fields)
+            assert value == plain and str(value) == str(plain) and repr(value) == repr(plain)
+            assert value._replace(**{kind._fields[0]: 7}) == plain._replace(**{kind._fields[0]: 7})
+    for record in report.records:
+        word = record.word
+        assert word == TwistWord(word.symbols) and hash(word) == hash(TwistWord(word.symbols))
+        with pytest.raises(AttributeError):
+            word.symbols = ()
