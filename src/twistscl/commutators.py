@@ -45,7 +45,7 @@ class CommutatorExpression(NamedTuple):
         # pieces fold in one reduction pass.
         pieces, conj = [], ()
         for c, l, r in self.factors:
-            c, l, r = c.letters, l.letters, r.letters
+            c, l, r = c._codes, l._codes, r._codes
             if c is not conj and c != conj:
                 pieces += (inverse_letters(conj), c)
                 conj = c
@@ -83,10 +83,10 @@ def as_commutator(w: Word) -> Optional[tuple[Word, Word]]:
     (re-checked before returning).
     """
     # Peel conjugation down to the cyclic reduction: w = g * core * g^-1.
-    letters, i = w.letters, 0
-    while len(letters) - 2 * i >= 2 and letters[-1 - i] == (letters[i][0], -letters[i][1]):
+    codes, i = w._codes, 0
+    while len(codes) - 2 * i >= 2 and codes[-1 - i] == -codes[i]:
         i += 1
-    g, core = Word._raw(letters[:i]), letters[i : len(letters) - i]
+    g, core = Word._raw(codes[:i]), codes[i : len(codes) - i]
 
     if not core:
         return Word.identity(), Word.identity()

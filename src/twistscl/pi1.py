@@ -19,51 +19,28 @@ power works out to.  The split between the two is a convention.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .twists import CurveConfiguration, TwistWord, default_configuration
-from .words import Letter, Word, parse_word
+from .words import Codes, Word, code_of, name_of, parse_word, substitute_codes
 
 BASIS = ("x", "y", "z")
-
-# Inside this module a letter is a signed int: x, y, z are 1, 2, 3 and a
-# letter's inverse is its negation.  Every long tuple is built from a
-# list (exact size); ``tuple(map(...))`` or a generator would resize it
-# again and again and fragment the heap.
-_CODE: dict[Letter, int] = {(b, s): s * i for i, b in enumerate(BASIS, 1) for s in (1, -1)}
-_LETTER: dict[int, Letter] = {c: letter for letter, c in _CODE.items()}
-
-_Codes = tuple[int, ...]
+_X, _Y, _Z = _BASIS_CODES = tuple(code_of(b) for b in BASIS)
+# A blank per-call memo for ``substitute_codes``, indexed by signed code:
+# a copy gets each basis code's image in its slot, and the slot at the
+# negated code gets that image's inverse once needed.
+_MEMO = [None] * (2 * max(_BASIS_CODES) + 1)
 
 
-def _decode(codes: _Codes) -> Word:
-    return Word._raw(tuple([_LETTER[c] for c in codes]))
-
-
-def _substitute(codes: Iterable[int], pieces: list) -> _Codes:
-    """The reduced image of the coded word ``codes``, as ``words.join_all``.
-
-    ``pieces`` is the caller's memo ``[None, x, y, z, None, None, None]``:
-    ``pieces[c]`` is the image of letter ``c``, and an image's inverse
-    fills its slot at a negative index when first needed.
-    """
-    out: list[int] = []
-    for c in codes:
-        piece = pieces[c]
-        if piece is None:
-            piece = pieces[c] = tuple([-d for d in reversed(pieces[-c])])
-        j, n = 0, len(piece)
-        while j < n and out and out[-1] == -piece[j]:
-            out.pop()
-            j += 1
-        out.extend(piece[j:] if j else piece)
-    return tuple(out)
+def _strays(codes) -> set[int]:
+    """The letters of ``codes`` outside the basis, as positive codes."""
+    return set(map(abs, codes)).difference(_BASIS_CODES)
 
 
 class Automorphism:
     """An automorphism of the free group on x, y, z, given by basis images.
 
-    The images are kept coded; ``images`` builds their ``Word``s on first read.
+    The images are kept coded; ``images`` wraps them as ``Word``s on first read.
     """
 
     __slots__ = ("_codes", "_images")
@@ -74,22 +51,22 @@ class Automorphism:
         for b in BASIS:
             if not isinstance(images[b], Word):
                 raise TypeError(f"image of {b} must be a Word, got {images[b]!r}")
-        try:
-            codes = tuple([tuple([_CODE[l] for l in images[b].letters]) for b in BASIS])
-        except KeyError as err:
-            raise ValueError(f"images must be words in {BASIS}, got {err.args[0]!r}") from None
-        object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_images", None)
+        codes = tuple([images[b]._codes for b in BASIS])
+        strays = _strays(c for img in codes for c in img)
+        if strays:
+            raise ValueError(f"images must be words in {BASIS}, got {name_of(min(strays))!r}")
+        _set_codes(self, codes)
+        _set_images(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Automorphism is immutable")
 
     @classmethod
-    def _raw(cls, codes: tuple[_Codes, _Codes, _Codes]) -> "Automorphism":
+    def _raw(cls, codes: tuple[Codes, Codes, Codes]) -> "Automorphism":
         """Wrap reduced coded images in BASIS order, unchecked."""
-        a = cls.__new__(cls)
-        object.__setattr__(a, "_codes", codes)
-        object.__setattr__(a, "_images", None)
+        a = _new_object(cls)
+        _set_codes(a, codes)
+        _set_images(a, None)
         return a
 
     @property
@@ -98,8 +75,8 @@ class Automorphism:
         the coded images are what compose, == and hash read."""
         images = self._images
         if images is None:
-            images = MappingProxyType({b: _decode(c) for b, c in zip(BASIS, self._codes)})
-            object.__setattr__(self, "_images", images)
+            images = MappingProxyType({b: Word._raw(c) for b, c in zip(BASIS, self._codes)})
+            _set_images(self, images)
         return images
 
     @classmethod
@@ -107,13 +84,17 @@ class Automorphism:
         return _IDENTITY
 
     def apply(self, w: Word) -> Word:
-        pieces = [None, *self._codes, None, None, None]
-        return _decode(_substitute([_CODE[l] for l in w.letters], pieces))
+        if _strays(w._codes):
+            raise ValueError(f"{w} is not a word in {BASIS}")
+        memo = _MEMO.copy()
+        memo[_X], memo[_Y], memo[_Z] = self._codes
+        return Word._raw(substitute_codes(w._codes, memo))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Return self after other: (self.compose(other))(w) = self(other(w))."""
-        pieces = [None, *self._codes, None, None, None]
-        return Automorphism._raw(tuple([_substitute(c, pieces) for c in other._codes]))
+        memo = _MEMO.copy()
+        memo[_X], memo[_Y], memo[_Z] = self._codes
+        return Automorphism._raw(tuple([substitute_codes(c, memo) for c in other._codes]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Automorphism) and self._codes == other._codes
@@ -131,10 +112,16 @@ class Automorphism:
     def homology_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Abelianized action: rows are images, columns exponent sums."""
         return tuple(
-            tuple(codes.count(i) - codes.count(-i) for i in (1, 2, 3))
+            tuple(codes.count(c) - codes.count(-c) for c in _BASIS_CODES)
             for codes in self._codes
         )
 
+
+# Prebound for ``_raw``, which fills the slots directly, past the refusing
+# ``__setattr__``.
+_new_object = object.__new__
+_set_codes = Automorphism._codes.__set__
+_set_images = Automorphism._images.__set__
 
 _IDENTITY = Automorphism({b: Word.generator(b) for b in BASIS})
 
@@ -204,23 +191,25 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
     this recurses at most one level.  Mapping symbols have no model and raise.
     """
     config = config or default_configuration()
-    out = _IDENTITY
-    defined: dict[tuple[str, int], Automorphism] = {}
-    for name, sign in w.symbols:
-        curve = config.curve_of_twist.get(name)
-        if curve is None:
-            raise UnresolvedSymbol(
-                f"symbol {name!r} is not a twist in this configuration"
-            )
-        if curve in config.definitions:
-            aut = defined.get((name, sign))
-            if aut is None:
-                expansion = TwistWord._raw(config.expansions[curve, sign])
-                aut = defined[name, sign] = evaluate(expansion, config)
-        else:
-            aut = twist_automorphism(curve, sign)
-        out = out.compose(aut)
-    return out
+    out: Optional[Automorphism] = None
+    auts: dict[int, Automorphism] = {}
+    for c in w._codes:
+        aut = auts.get(c)
+        if aut is None:
+            curve = config.curve_of_code.get(abs(c))
+            if curve is None:
+                raise UnresolvedSymbol(
+                    f"symbol {name_of(c)!r} is not a twist in this configuration"
+                )
+            if curve in config.definitions:
+                aut = evaluate(TwistWord._raw(config.expansions[c]), config)
+            else:
+                aut = twist_automorphism(curve, 1 if c > 0 else -1)
+            auts[c] = aut
+        # The fold starts at the first symbol's automorphism: composing it
+        # with the identity would only copy its images.
+        out = aut if out is None else out.compose(aut)
+    return _IDENTITY if out is None else out
 
 
 def equal_in_rep(

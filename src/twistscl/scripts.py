@@ -36,7 +36,7 @@ from .twists import (
     _new_tuple,
     apply_step,
 )
-from .words import MAX_PARSED_LETTERS, Letter, inverse_letters, parse_letters
+from .words import MAX_PARSED_LETTERS, inverse_letters, parse_letters
 
 # Most symbols a replay's records may hold in all, summed over every
 # intermediate word; a longer replay is refused at the step that passes it.
@@ -67,7 +67,7 @@ class DerivationReport(NamedTuple):
     conjugator: TwistWord
 
     def value_preserving(self) -> bool:
-        return not self.conjugator.symbols
+        return not self.conjugator._codes
 
 
 def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationReport:
@@ -89,7 +89,7 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
             break
         if step.move == "conjugate-equation":
             conjugator = (TwistWord.parse(step.data, config) * conjugator).reduce()
-        held += len(word.symbols)
+        held += len(word._codes)
         if held > MAX_REPLAY_SYMBOLS:
             raise ValueError(f"step {i}: replay holds more than "
                              f"MAX_REPLAY_SYMBOLS = {MAX_REPLAY_SYMBOLS} symbols")
@@ -113,31 +113,37 @@ class ScriptSyntaxError(ValueError):
         self.line_no = line_no
 
 
+# A bound name parses as a stand-in code at or above this one, which no
+# interned name reaches, so ``let`` names never enter the intern table.
+_FIRST_BOUND_CODE = 1 << 62
+
+
 def _expand_bindings(
     text: str, bindings: dict[str, TwistWord], config: CurveConfiguration, line_no: int
 ) -> TwistWord:
-    bound_names = False
+    bound: dict[int, TwistWord] = {}
 
-    def check(name: str) -> None:
-        nonlocal bound_names
-        if name in bindings:
-            bound_names = True
-        else:
-            config.check_symbol(name)
+    def code(name: str) -> int:
+        word = bindings.get(name)
+        if word is None:
+            return config.symbol_code(name)
+        c = _FIRST_BOUND_CODE + list(bindings).index(name)
+        bound[c] = word
+        return c
 
     try:
-        letters = parse_letters(text, check)
+        letters = parse_letters(text, code)
     except ValueError as err:
         raise ScriptSyntaxError(line_no, str(err)) from None
-    if not bound_names:  # the letters are the symbols, already capped
+    if not bound:  # the letters are the symbols, already capped
         return TwistWord._raw(tuple(letters))
-    symbols: list[Letter] = []
-    for name, sign in letters:
-        bound = bindings.get(name)
-        if bound is None:
-            symbols.append((name, sign))
+    symbols: list[int] = []
+    for c in letters:
+        word = bound.get(abs(c))
+        if word is None:
+            symbols.append(c)
         else:
-            symbols.extend(bound.symbols if sign > 0 else inverse_letters(bound.symbols))
+            symbols.extend(word._codes if c > 0 else inverse_letters(word._codes))
         if len(symbols) > MAX_PARSED_LETTERS:
             raise ScriptSyntaxError(line_no, f"word longer than {MAX_PARSED_LETTERS} letters")
     return TwistWord._raw(tuple(symbols))

@@ -17,11 +17,16 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 from .words import (
+    Codes,
     Letter,
+    code_of,
+    decode,
+    encode,
     free_reduce,
     format_letters,
     inverse_letters,
     join_reduced,
+    name_of,
     parse_letters,
 )
 
@@ -47,66 +52,74 @@ class MappingMismatch(ValueError):
 
 
 class TwistWord:
-    """A raw sequence of signed symbols (not implicitly reduced)."""
+    """A raw sequence of signed symbols (not implicitly reduced).
 
-    __slots__ = ("symbols",)
+    The symbols are kept as ``words`` letter codes; ``symbols`` decodes
+    them on first read.
+    """
+
+    __slots__ = ("_codes", "_symbols")
 
     def __init__(self, symbols: Iterable[Letter] = ()):
-        object.__setattr__(self, "symbols", tuple(symbols))
-        for name, sign in self.symbols:
-            if sign not in (1, -1):
-                raise ValueError(f"sign must be +-1 in {name!r}")
+        _set_codes(self, tuple(encode(symbols)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TwistWord is immutable")
 
     @classmethod
-    def _raw(cls, symbols: tuple[Letter, ...]) -> "TwistWord":
-        """Wrap a tuple of already-checked symbols without re-scanning.
-
-        Every symbol enters through the constructor or ``parse_letters``,
-        both of which check signs, so words built from other words'
-        symbols need no second check.
-        """
+    def _raw(cls, codes: Codes) -> "TwistWord":
+        """Wrap a tuple of already-coded symbols without re-scanning."""
         w = _new_object(cls)
-        _set_symbols(w, symbols)
+        _set_codes(w, codes)
         return w
+
+    @property
+    def symbols(self) -> tuple[Letter, ...]:
+        """The ``(name, sign)`` symbols, decoded on first read; the same
+        tuple on every read."""
+        try:
+            return self._symbols
+        except AttributeError:
+            symbols = decode(self._codes)
+            _set_symbols(self, symbols)
+            return symbols
 
     @classmethod
     def parse(cls, text: str, config: "CurveConfiguration") -> "TwistWord":
         """Parse ``"t1 t2^-3 g"`` against the configuration's alphabet."""
-        return cls._raw(tuple(parse_letters(text, config.check_symbol)))
+        return cls._raw(tuple(parse_letters(text, config.symbol_code)))
 
     def inverse(self) -> "TwistWord":
-        return TwistWord._raw(inverse_letters(self.symbols))
+        return TwistWord._raw(inverse_letters(self._codes))
 
     def __mul__(self, other: "TwistWord") -> "TwistWord":
-        return TwistWord._raw(self.symbols + other.symbols)
+        return TwistWord._raw(self._codes + other._codes)
 
     def reduce(self) -> "TwistWord":
-        return TwistWord._raw(free_reduce(self.symbols))
+        return TwistWord._raw(free_reduce(self._codes))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TwistWord) and self.symbols == other.symbols
+        return isinstance(other, TwistWord) and self._codes == other._codes
 
     def __hash__(self) -> int:
-        return hash(self.symbols)
+        return hash(self._codes)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self._codes)
 
     def __repr__(self) -> str:
         return f"TwistWord({str(self)!r})"
 
     def __str__(self) -> str:
-        return format_letters(self.symbols)
+        return format_letters(self._codes)
 
 
 # Prebound for the hot constructors: ``_raw`` fills the slot directly, past
 # the refusing ``__setattr__``, and the moves build ``Step``s as plain
 # tuples of the subclass, past the NamedTuple's Python-level ``__new__``.
 _new_object = object.__new__
-_set_symbols = TwistWord.symbols.__set__
+_set_codes = TwistWord._codes.__set__
+_set_symbols = TwistWord._symbols.__set__
 _new_tuple = tuple.__new__
 
 
@@ -155,18 +168,19 @@ class CurveConfiguration:
     definitions: dict[str, tuple[str, TwistWord]]
     mappings: dict[str, MappingSymbol] = field(default_factory=dict)
     curve_of_twist: dict[str, str] = field(init=False, default_factory=dict)
-    # Tables the moves look up, built once in ``__post_init__``.
-    _pair_kind: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
-    # ``expansions[curve, sign]`` (public) spells a defined curve's twist^sign as
-    # ``by t^sign by^-1``; definition-substitute and ``pi1.evaluate`` both read it.
-    expansions: dict[tuple[str, int], tuple[Letter, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _chain_sides: tuple[tuple[tuple[Letter, ...], tuple[Letter, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _letter_of_token: dict[str, Letter] = field(init=False, repr=False, compare=False)
-    _token_of_letter: dict[Letter, str] = field(init=False, repr=False, compare=False)
+    # Tables the moves and ``pi1.evaluate`` look up, keyed by ``words`` code
+    # and built once in ``__post_init__``.  ``curve_of_code`` (public) maps
+    # a twist symbol's positive code to its curve.
+    curve_of_code: dict[int, str] = field(init=False, repr=False, compare=False)
+    _code_of_symbol: dict[str, int] = field(init=False, repr=False, compare=False)
+    _pair_kind: dict[tuple[int, int], str] = field(init=False, repr=False, compare=False)
+    # ``expansions[c]`` (public) spells the twist letter ``c`` of a defined
+    # curve as ``by t^sign by^-1``; definition-substitute and ``pi1.evaluate``
+    # both read it.
+    expansions: dict[int, Codes] = field(init=False, repr=False, compare=False)
+    _chain_sides: tuple[tuple[Codes, Codes], ...] = field(init=False, repr=False, compare=False)
+    _code_of_token: dict[str, int] = field(init=False, repr=False, compare=False)
+    _token_of_code: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         twist_of = self.twist_of_curve
@@ -189,20 +203,15 @@ class CurveConfiguration:
                     shown = ", ".join(repr(c) for c in sorted(pair))
                     raise ValueError(f"{kind} pair {{{shown}}} must be two distinct known curves")
                 c1, c2 = pair
-                s1, s2 = twist_of[c1], twist_of[c2]
-                pair_kind[s1, s2] = pair_kind[s2, s1] = kind
+                pair_kind[c1, c2] = pair_kind[c2, c1] = kind
         # A definition conjugates the twist of an undefined curve by twists of
         # undefined curves, so an expansion never names a defined curve.
         undefined = curves.difference(self.definitions)
-        expansions = {}
         for curve, (image_of, by) in self.definitions.items():
             used = {image_of, *(curve_of_twist.get(name) for name, _ in by.symbols)}
             if curve not in curves or not used <= undefined:
                 raise ValueError(f"definition of {curve!r} must conjugate the twist of an "
                                  "undefined curve by twists of undefined curves")
-            inverse = inverse_letters(by.symbols)
-            for sign in (1, -1):
-                expansions[curve, sign] = by.symbols + ((twist_of[image_of], sign),) + inverse
         # A diffeomorphism keeps intersection numbers: no two declared pairs
         # may send a registered braid pair to a registered disjoint pair.
         for name, symbol in self.mappings.items():
@@ -211,30 +220,43 @@ class CurveConfiguration:
             if not {c for pair in symbol.mapping for c in pair} <= curves:
                 raise ValueError(f"mapping {name!r} uses unknown curves")
             for (c1, d1), (c2, d2) in combinations(symbol.mapping, 2):
-                before = pair_kind.get((twist_of[c1], twist_of[c2]))
-                after = pair_kind.get((twist_of[d1], twist_of[d2]))
+                before, after = pair_kind.get((c1, c2)), pair_kind.get((d1, d2))
                 if before and after and before != after:
                     raise ValueError(f"mapping {name!r} sends the {before} pair {c1},{c2} "
                                      f"to the {after} pair {d1},{d2}")
+        # Coded only now, so a refused configuration's names never enter the
+        # intern table.
+        code = {name: code_of(name) for name in names}
+        twist_code = {c: code[t] for c, t in twist_of.items()}
+        expansions = {}
+        for curve, (image_of, by) in self.definitions.items():
+            inverse = inverse_letters(by._codes)
+            for c in (twist_code[curve], -twist_code[curve]):
+                sign = 1 if c > 0 else -1
+                expansions[c] = by._codes + (sign * twist_code[image_of],) + inverse
         # In the order chain-substitute tries them; the first match wins.
         chain_sides = ()
         for left, right in self.chain_relations:
-            l, r = left.symbols, right.symbols
+            l, r = left._codes, right._codes
             li, ri = inverse_letters(l), inverse_letters(r)
             chain_sides += ((l, r), (r, l), (li, ri), (ri, li))
         # Each symbol's spellings as step data, both ways (what
         # format_letters prints for one letter, and what parse_letters
         # reads as exactly that letter).
-        letter_of_token, token_of_letter = {}, {}
-        for name in names:
-            inverted = token_of_letter[name, -1] = f"{name}^-1"
-            token_of_letter[name, 1] = name
-            letter_of_token[name] = letter_of_token[f"{name}^1"] = (name, 1)
-            letter_of_token[inverted] = (name, -1)
+        code_of_token, token_of_code = {}, {}
+        for name, c in code.items():
+            inverted = token_of_code[-c] = f"{name}^-1"
+            token_of_code[c] = name
+            code_of_token[name] = code_of_token[f"{name}^1"] = c
+            code_of_token[inverted] = -c
         for attr, value in (
-            ("curves", curves), ("curve_of_twist", curve_of_twist), ("_pair_kind", pair_kind),
+            ("curves", curves), ("curve_of_twist", curve_of_twist),
+            ("curve_of_code", {c: curve for curve, c in twist_code.items()}),
+            ("_code_of_symbol", code),
+            ("_pair_kind", {(twist_code[c1], twist_code[c2]): kind
+                            for (c1, c2), kind in pair_kind.items()}),
             ("expansions", expansions), ("_chain_sides", chain_sides),
-            ("_letter_of_token", letter_of_token), ("_token_of_letter", token_of_letter),
+            ("_code_of_token", code_of_token), ("_token_of_code", token_of_code),
         ):
             object.__setattr__(self, attr, value)
 
@@ -250,10 +272,12 @@ class CurveConfiguration:
     def word(self, text: str) -> TwistWord:
         return TwistWord.parse(text, self)
 
-    def check_symbol(self, name: str) -> None:
-        """The alphabet check: twist symbols and declared mapping symbols."""
-        if name not in self.curve_of_twist and name not in self.mappings:
+    def symbol_code(self, name: str) -> int:
+        """The alphabet: the code of a twist or declared mapping symbol."""
+        code = self._code_of_symbol.get(name)
+        if code is None:
             raise ValueError(f"unknown symbol {name!r}")
+        return code
 
 
 @cache
@@ -302,82 +326,94 @@ class Step(NamedTuple):
         return f"{out} {self.data}" if self.data else out
 
 
-def _step_letters(step: Step, config: CurveConfiguration) -> list[Letter]:
+def _step_letters(step: Step, config: CurveConfiguration) -> list[int]:
     """A step's data spelled out over the configuration's alphabet."""
     try:
-        return parse_letters(step.data, config.check_symbol)
+        return parse_letters(step.data, config.symbol_code)
     except ValueError as err:
         raise MoveError(step.position, str(err)) from None
 
 
-def _step_symbol(step: Step, config: CurveConfiguration) -> Letter:
+def _step_symbol(step: Step, config: CurveConfiguration) -> int:
     """The one symbol, with exponent +-1, that a step's data names."""
-    letter = config._letter_of_token.get(step.data)
-    if letter is not None:
-        return letter
+    code = config._code_of_token.get(step.data)
+    if code is not None:
+        return code
     letters = _step_letters(step, config)
     if len(letters) != 1:
         raise MoveError(step.position, f"step data must be one symbol, got {step.data!r}")
     return letters[0]
 
 
-def _window(syms: tuple[Letter, ...], step: Step, count: int) -> tuple[Letter, ...]:
+def _window(syms: Codes, step: Step, count: int) -> Codes:
     p = step.position
     if p + count > len(syms):
         raise PatternMismatch(p, f"{step.move} needs {count} symbols at this position")
     return syms[p : p + count]
 
 
-def _check_pair(config: CurveConfiguration, step: Step, s1: str, s2: str, kind: str) -> None:
+def _check_pair(config: CurveConfiguration, step: Step, s1: int, s2: int, kind: str) -> None:
     """The braid and commute precondition: two distinct, registered curves."""
-    if config._pair_kind.get((s1, s2)) == kind:
+    if config._pair_kind.get((abs(s1), abs(s2))) == kind:
         return
-    pair = frozenset((config.curve_of_twist.get(s1), config.curve_of_twist.get(s2)))
+    curve_of = config.curve_of_code
+    pair = frozenset((curve_of.get(abs(s1)), curve_of.get(abs(s2))))
     if None in pair or len(pair) != 2:
         raise PatternMismatch(step.position, f"{step.move} applies to two distinct twists")
     names = ", ".join(repr(c) for c in sorted(pair))
     raise UnregisteredRelation(step.position, f"{{{names}}} is not a registered {kind} pair")
 
 
+def _twist_code(config: CurveConfiguration, curve: str, sign: int) -> int:
+    """The letter of the twist along ``curve`` to the power ``sign``."""
+    return sign * config._code_of_symbol[config.twist_of_curve[curve]]
+
+
 # Each move checks its pattern and returns the rewritten symbols together
 # with the step that undoes it, built from what the match found.
-_Rewrite = tuple[tuple[Letter, ...], Step]
+_Rewrite = tuple[Codes, Step]
 
 
 def _free_insert(syms, step, config) -> _Rewrite:
     p = step.position
     if p > len(syms):
         raise PatternMismatch(p, "insertion point outside the word")
-    name, sign = _step_symbol(step, config)
-    out = syms[:p] + ((name, sign), (name, -sign)) + syms[p:]
+    c = _step_symbol(step, config)
+    out = syms[:p] + (c, -c) + syms[p:]
     return out, _new_tuple(Step, ("free-cancel", p, ""))
 
 
 def _free_cancel(syms, step, config) -> _Rewrite:
     p = step.position
     a, b = _window(syms, step, 2)
-    if a[0] != b[0] or a[1] != -b[1]:
-        raise PatternMismatch(p, f"{a} {b} is not an inverse pair")
-    spelling = config._token_of_letter.get(a) or format_letters((a,))
+    if a != -b:
+        shown_a, shown_b = decode((a, b))
+        raise PatternMismatch(p, f"{shown_a} {shown_b} is not an inverse pair")
+    spelling = config._token_of_code.get(a) or format_letters((a,))
     return syms[:p] + syms[p + 2 :], _new_tuple(Step, ("free-insert", p, spelling))
 
 
-# braid and commute splice the matched letters back in, reordered, rather
-# than allocate equal new ones.
+# braid and commute keep the word's length, so they swap the matched
+# letters in a copy rather than concatenate three pieces.
 def _braid(syms, step, config) -> _Rewrite:
     p = step.position
     a, b, c = _window(syms, step, 3)
-    if a != c or a[1] != b[1]:
+    if a != c or (a > 0) != (b > 0):
         raise PatternMismatch(p, "braid needs s t s with a uniform sign")
-    _check_pair(config, step, a[0], b[0], "braid")
-    return syms[:p] + (b, a, b) + syms[p + 3 :], step
+    _check_pair(config, step, a, b, "braid")
+    out = list(syms)
+    out[p] = out[p + 2] = b
+    out[p + 1] = a
+    return tuple(out), step
 
 
 def _commute(syms, step, config) -> _Rewrite:
     p = step.position
     a, b = _window(syms, step, 2)
-    _check_pair(config, step, a[0], b[0], "disjoint")
-    return syms[:p] + (b, a) + syms[p + 2 :], step
+    _check_pair(config, step, a, b, "disjoint")
+    out = list(syms)
+    out[p], out[p + 1] = b, a
+    return tuple(out), step
 
 
 def _chain_substitute(syms, step, config) -> _Rewrite:
@@ -395,15 +431,14 @@ def _definition_substitute(syms, step, config) -> _Rewrite:
     p, curve = step.position, step.data
     if curve not in config.definitions:
         raise UnregisteredRelation(p, f"{curve!r} has no registered definition")
-    tw = config.twist_of_curve[curve]
-    if p < len(syms) and syms[p][0] == tw:
-        expansion = config.expansions[curve, syms[p][1]]
-        return syms[:p] + expansion + syms[p + 1 :], step
-    for sign in (1, -1):
-        pat = config.expansions[curve, sign]
+    tw = _twist_code(config, curve, 1)
+    if p < len(syms) and abs(syms[p]) == tw:
+        return syms[:p] + config.expansions[syms[p]] + syms[p + 1 :], step
+    for c in (tw, -tw):
+        pat = config.expansions[c]
         if p + len(pat) <= len(syms) and syms[p : p + len(pat)] == pat:
-            return syms[:p] + ((tw, sign),) + syms[p + len(pat) :], step
-    raise PatternMismatch(p, f"neither {tw} nor its expansion matches here")
+            return syms[:p] + (c,) + syms[p + len(pat) :], step
+    raise PatternMismatch(p, f"neither {name_of(tw)} nor its expansion matches here")
 
 
 def _conjugate_equation(syms, step, config) -> _Rewrite:
@@ -418,38 +453,39 @@ def _conjugate_equation(syms, step, config) -> _Rewrite:
 
 def _twist_naturality(syms, step, config) -> _Rewrite:
     p = step.position
-    mname, msign = _step_symbol(step, config)
+    m = _step_symbol(step, config)
+    mname = name_of(m)
     mapping = config.mappings.get(mname)
     if mapping is None:
         raise UnregisteredRelation(p, f"{mname!r} is not a declared mapping symbol")
-    if p < len(syms) and syms[p][0] == mname:
+    if p < len(syms) and abs(syms[p]) == abs(m):
         # collapse  m t_c m^-1  ->  t_{m(c)}  (or preimage for m^-1 ... m);
         # undone by expanding with the mapping symbol found here
-        (m1, s1), (mid_name, e), (m2, s2) = _window(syms, step, 3)
-        if m2 != mname or s2 != -s1:
+        first, mid, last = _window(syms, step, 3)
+        if last != -first:
             raise PatternMismatch(p, f"need {mname} ... {mname}^-1 around a twist")
-        curve = config.curve_of_twist.get(mid_name)
+        curve = config.curve_of_code.get(abs(mid))
         if curve is None:
-            raise PatternMismatch(p, f"{mid_name!r} is not a twist symbol")
-        target = mapping.image_of(curve) if s1 > 0 else mapping.preimage_of(curve)
+            raise PatternMismatch(p, f"{name_of(mid)!r} is not a twist symbol")
+        target = mapping.image_of(curve) if first > 0 else mapping.preimage_of(curve)
         if target is None:
             raise UnregisteredRelation(
                 p, f"mapping {mname!r} does not determine the image of {curve!r}"
             )
-        out = syms[:p] + ((config.twist_of_curve[target], e),) + syms[p + 3 :]
+        out = syms[:p] + (_twist_code(config, target, 1 if mid > 0 else -1),) + syms[p + 3 :]
         return out, Step(step.move, p, format_letters(syms[p : p + 1]))
-    if p < len(syms) and syms[p][0] in config.curve_of_twist:
+    if p < len(syms) and abs(syms[p]) in config.curve_of_code:
         # expand  t_d -> m t_{m^-1(d)} m^-1   (data m)
         #         t_d -> m^-1 t_{m(d)} m      (data m^-1)
         # undone by collapsing, which reads the direction off the word
-        tw, e = syms[p]
-        curve = config.curve_of_twist[tw]
-        inner = mapping.preimage_of(curve) if msign > 0 else mapping.image_of(curve)
+        tw = syms[p]
+        curve = config.curve_of_code[abs(tw)]
+        inner = mapping.preimage_of(curve) if m > 0 else mapping.image_of(curve)
         if inner is None:
             raise UnregisteredRelation(
                 p, f"mapping {mname!r} does not reach {curve!r} in this direction"
             )
-        piece = ((mname, msign), (config.twist_of_curve[inner], e), (mname, -msign))
+        piece = (m, _twist_code(config, inner, 1 if tw > 0 else -1), -m)
         return syms[:p] + piece + syms[p + 1 :], Step(step.move, p, mname)
     raise PatternMismatch(p, "twist-naturality needs a mapping symbol or twist here")
 
@@ -474,8 +510,8 @@ def _rewrite(word: TwistWord, step: Step, config: CurveConfiguration) -> tuple[T
         raise ValueError(f"unknown move kind {step.move!r}")
     if step.position < 0:  # the one lower bound; each move checks its upper bound
         raise PatternMismatch(step.position, "position must not be negative")
-    symbols, inverse = move(word.symbols, step, config)
-    return TwistWord._raw(symbols), inverse
+    codes, inverse = move(word._codes, step, config)
+    return TwistWord._raw(codes), inverse
 
 
 def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> TwistWord:

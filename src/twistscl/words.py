@@ -1,8 +1,27 @@
 """Free-group words over named generators, and the one implementation
-of every job on signed-letter sequences: full reduction, seam-only
-products, inversion, parsing, printing and substitution.  The raw
-``TwistWord`` of the twist layer uses the same routines over a larger
-alphabet.
+of every job on letter sequences: full reduction, seam-only products,
+inversion, parsing, printing and substitution.  The raw ``TwistWord`` of
+the twist layer and the automorphisms of ``pi1`` use the same routines
+over their own alphabets.
+
+Every letter is coded as a signed int: a name has one positive code,
+its letter with sign +1 is that code and its letter with sign -1 is the
+negated code, so a letter's inverse is its negation.  The codes come
+from one intern table shared by every word in the process, so two
+letters are equal exactly when their codes are.  All routines here work
+on codes only; ``Word.letters`` (and ``TwistWord.symbols``) show the
+same letters as read-only ``(name, sign)`` pairs, decoded on first read.
+
+The intern table only grows, by one entry per distinct name that an
+alphabet has accepted: a generator name that passed its character
+check, a configuration's symbol, or a name in ``(name, sign)`` letters
+handed to a constructor whose signs all passed.  ``parse_letters``
+codes a name only once the caller's alphabet has accepted it, so
+refused tokens and unknown symbols never enter, and neither do a proof
+script's ``let`` names, which are spelled out before they could become
+letters.  So the table holds at most the distinct accepted names the
+process has read: a few dozen for the library's own alphabets, plus the
+2r generators of the largest Bavard expansion built.
 
 A ``Word`` is an immutable sequence of signed letters.  All
 constructors reduce, so every ``Word`` in circulation is freely reduced
@@ -12,88 +31,148 @@ agree.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-# A letter is a generator name with a sign, e.g. ("x", 1) or ("x", -1).
+# A decoded letter: a generator name with a sign, e.g. ("x", 1) or ("x", -1).
 Letter = tuple[str, int]
+# A coded word: the signed codes of its letters.
+Codes = tuple[int, ...]
 
 # Most letters one parsed word may spell out; a longer word is refused
 # before its letter list is built, so ``t2^1000000000`` costs nothing.
 MAX_PARSED_LETTERS = 10**6
 
+# The intern table, both ways: ``_CODE[name, sign]`` is a letter's code
+# and ``_LETTER[code]`` its ``(name, sign)``.
+_CODE: dict[Letter, int] = {}
+_LETTER: dict[int, Letter] = {}
 
-def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Cancel adjacent inverse pairs until none remain (single stack pass)."""
-    stack: list[Letter] = []
+
+def code_of(name: str) -> int:
+    """The positive code of ``name``, interned on first use."""
+    code = _CODE.get((name, 1))
+    if code is None:
+        code = len(_LETTER) // 2 + 1
+        for sign in (1, -1):
+            _CODE[name, sign] = sign * code
+            _LETTER[sign * code] = (name, sign)
+    return code
+
+
+def name_of(code: int) -> str:
+    """The name a letter's code stands for, whatever its sign."""
+    return _LETTER[code][0]
+
+
+def encode(letters: Iterable[Letter]) -> list[int]:
+    """Code ``(name, sign)`` letters; a sign other than +-1 is refused
+    before any new name is interned."""
+    letters = tuple(letters)
+    try:
+        return [_CODE[letter] for letter in letters]
+    except (KeyError, TypeError):
+        pass
     for name, sign in letters:
         if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-        if stack and stack[-1][0] == name and stack[-1][1] == -sign:
+            raise ValueError(f"letter sign must be +1 or -1, got {sign!r} in {name!r}")
+    return [sign * code_of(name) for name, sign in letters]
+
+
+def decode(codes: Sequence[int]) -> tuple[Letter, ...]:
+    """The ``(name, sign)`` letters of a coded word."""
+    return tuple([_LETTER[c] for c in codes])
+
+
+def free_reduce(codes: Sequence[int]) -> Codes:
+    """Cancel adjacent inverse pairs until none remain (single stack pass)."""
+    stack: list[int] = []
+    for c in codes:
+        if stack and stack[-1] == -c:
             stack.pop()
         else:
-            stack.append((name, sign))
+            stack.append(c)
     return tuple(stack)
 
 
-def join_reduced(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+def join_reduced(a: Codes, b: Codes) -> Codes:
     """Concatenate, cancelling only at the junction (for reduced a, b: a*b)."""
-    i, j = len(a), 0
-    while i > 0 and j < len(b) and a[i - 1][0] == b[j][0] and a[i - 1][1] == -b[j][1]:
+    i, j, n = len(a), 0, len(b)
+    while i and j < n and a[i - 1] == -b[j]:
         i -= 1
         j += 1
     return a[:i] + b[j:]
 
 
-def join_all(pieces: Iterable[tuple[Letter, ...]]) -> tuple[Letter, ...]:
-    """The reduced product of reduced letter tuples, in one pass.
+def join_all(pieces: Iterable[Codes]) -> Codes:
+    """The reduced product of reduced coded words, in one pass.
 
     Only seams can cancel (possibly through whole pieces), so the cost is
     linear in the letters read and written plus the cancellations.
     """
-    out: list[Letter] = []
+    out: list[int] = []
     for img in pieces:
         j, n = 0, len(img)
-        while j < n and out and out[-1][0] == img[j][0] and out[-1][1] == -img[j][1]:
+        while j < n and out and out[-1] == -img[j]:
             out.pop()
             j += 1
         out.extend(img[j:] if j else img)
     return tuple(out)
 
 
-def inverse_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
+def inverse_letters(codes: Sequence[int]) -> Codes:
     """Reverse the sequence and flip every sign."""
-    return tuple([(n, -s) for n, s in reversed(letters)])
+    return tuple([-c for c in reversed(codes)])
 
 
-def format_letters(letters: Sequence[Letter]) -> str:
+def substitute_codes(codes: Sequence[int], images: list | dict[int, Optional[Codes]]) -> Codes:
+    """The reduced image of a coded word under a homomorphism.
+
+    ``images[c]`` is the reduced image of letter ``c`` for each positive
+    ``c`` the word uses; ``images[-c]`` is that image's inverse, or None
+    until first needed, when it is filled in (``images`` is the caller's
+    memo, a dict or a list indexed by signed code).  Letters cancel only
+    where one image meets the next, so this is one ``join_all``, and a
+    one-letter word's image is its letter's image itself.
+    """
+    pieces = []
+    for c in codes:
+        piece = images[c]
+        if piece is None:
+            piece = images[c] = inverse_letters(images[-c])
+        pieces.append(piece)
+    return pieces[0] if len(pieces) == 1 else join_all(pieces)
+
+
+def format_letters(codes: Sequence[int]) -> str:
     """Print runs of equal letters as ``name^exp``; ``"1"`` when empty."""
-    parts, i = [], 0
-    while i < len(letters):
-        name, sign = letters[i]
+    parts, i, n = [], 0, len(codes)
+    while i < n:
+        c = codes[i]
         j = i + 1
-        while j < len(letters) and letters[j] == letters[i]:
+        while j < n and codes[j] == c:
             j += 1
-        exp = sign * (j - i)
+        exp = j - i if c > 0 else i - j
+        name = _LETTER[c][0]
         parts.append(name if exp == 1 else f"{name}^{exp}")
         i = j
     return " ".join(parts) or "1"
 
 
-def parse_letters(text: str, check_name: Callable[[str], None]) -> list[Letter]:
+def parse_letters(text: str, code: Callable[[str], int]) -> list[int]:
     """Spell out a whitespace-separated word like ``"x y^-2 z"``, unreduced.
 
     Each token is a name with an optional nonzero ``^<int>`` exponent;
-    ``check_name`` is the caller's alphabet check and raises ValueError.
-    ``"1"`` alone denotes the empty word.  A word longer than
-    MAX_PARSED_LETTERS is refused before it is spelled out.  Each distinct
-    token is split and checked once per call; the length cap is checked
-    at every token.
+    ``code`` is the caller's alphabet: it returns a name's positive code
+    and raises ValueError for a name outside the alphabet.  ``"1"`` alone
+    denotes the empty word.  A word longer than MAX_PARSED_LETTERS is
+    refused before it is spelled out.  Each distinct token is split and
+    coded once per call; the length cap is checked at every token.
     """
     text = text.strip()
     if text in ("", "1"):
         return []
-    letters: list[Letter] = []
-    seen: dict[str, tuple[Letter, int]] = {}
+    letters: list[int] = []
+    seen: dict[str, tuple[int, int]] = {}
     for token in text.split():
         parsed = seen.get(token)
         if parsed is None:
@@ -106,8 +185,8 @@ def parse_letters(text: str, check_name: Callable[[str], None]) -> list[Letter]:
                 raise ValueError(f"malformed exponent in token {token!r}") from None
             if exp == 0:
                 raise ValueError(f"zero exponent in token {token!r}")
-            check_name(name)
-            parsed = seen[token] = ((name, 1 if exp > 0 else -1), abs(exp))
+            c = code(name)
+            parsed = seen[token] = (c if exp > 0 else -c, abs(exp))
         letter, count = parsed
         if len(letters) + count > MAX_PARSED_LETTERS:
             raise ValueError(f"word longer than {MAX_PARSED_LETTERS} letters at {token!r}")
@@ -123,24 +202,43 @@ def _check_generator_name(name: str) -> None:
         raise ValueError(f"generator name must match [a-zA-Z0-9_]+, got {name!r}")
 
 
-class Word:
-    """A freely reduced word in the free group on named generators."""
+def _generator_code(name: str) -> int:
+    _check_generator_name(name)
+    return code_of(name)
 
-    __slots__ = ("letters",)
+
+class Word:
+    """A freely reduced word in the free group on named generators.
+
+    The letters are kept coded; ``letters`` decodes them on first read.
+    """
+
+    __slots__ = ("_codes", "_letters")
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        object.__setattr__(self, "letters", free_reduce(letters))
+        _set_codes(self, free_reduce(encode(letters)))
 
     # Words are value types; never mutate them.
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
     @classmethod
-    def _raw(cls, letters: tuple[Letter, ...]) -> "Word":
-        """Wrap an already-reduced tuple without re-scanning."""
-        w = cls.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+    def _raw(cls, codes: Codes) -> "Word":
+        """Wrap an already-reduced coded word without re-scanning."""
+        w = _new_object(cls)
+        _set_codes(w, codes)
         return w
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The ``(name, sign)`` letters, decoded on first read; the same
+        tuple on every read."""
+        try:
+            return self._letters
+        except AttributeError:
+            letters = decode(self._codes)
+            _set_letters(self, letters)
+            return letters
 
     @classmethod
     def identity(cls) -> "Word":
@@ -151,57 +249,59 @@ class Word:
         _check_generator_name(name)
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-        return cls._raw(((name, sign),))
+        return cls._raw((sign * code_of(name),))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
         # Both operands are reduced, so only the seam can cancel.
-        return Word._raw(join_reduced(self.letters, other.letters))
+        return Word._raw(join_reduced(self._codes, other._codes))
 
     def __invert__(self) -> "Word":
-        return Word._raw(inverse_letters(self.letters))
+        return Word._raw(inverse_letters(self._codes))
 
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return _IDENTITY
-        letters = self.letters if n > 0 else inverse_letters(self.letters)
+        codes = self._codes if n > 0 else inverse_letters(self._codes)
         # Split w = g core g^-1 with core cyclically reduced; then
         # w^n = g core^n g^-1 and no copy of core cancels against the next.
-        m, k = len(letters), 0
-        while (
-            k < m - 1 - k
-            and letters[k][0] == letters[m - 1 - k][0]
-            and letters[k][1] == -letters[m - 1 - k][1]
-        ):
+        m, k = len(codes), 0
+        while k < m - 1 - k and codes[k] == -codes[m - 1 - k]:
             k += 1
-        return Word._raw(letters[:k] + letters[k : m - k] * abs(n) + letters[m - k :])
+        return Word._raw(codes[:k] + codes[k : m - k] * abs(n) + codes[m - k :])
 
     def conjugate(self, by: "Word") -> "Word":
         """Return ``by * self * by^-1``."""
         return by * self * ~by
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+        return isinstance(other, Word) and self._codes == other._codes
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self._codes)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._codes)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self._codes
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
 
     def __str__(self) -> str:
-        return format_letters(self.letters)
+        return format_letters(self._codes)
 
+
+# Prebound for the hot constructors: they fill the slots directly, past
+# the refusing ``__setattr__``.
+_new_object = object.__new__
+_set_codes = Word._codes.__set__
+_set_letters = Word._letters.__set__
 
 _IDENTITY = Word._raw(())
 
@@ -217,7 +317,7 @@ def parse_word(text: str) -> Word:
     Each token is a generator name with an optional ``^<int>`` exponent.
     ``"1"`` (alone) denotes the identity.
     """
-    return Word(parse_letters(text, _check_generator_name))
+    return Word._raw(free_reduce(parse_letters(text, _generator_code)))
 
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
@@ -228,17 +328,12 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     image); the cost is linear in the letters read and written plus the
     cancellations.
     """
-    pieces: list[tuple[Letter, ...]] = []
-    inverses: dict[str, tuple[Letter, ...]] = {}
-    for name, sign in w.letters:
-        if sign > 0:
-            pieces.append(images[name].letters)
-        else:
-            img = inverses.get(name)
-            if img is None:
-                img = inverses[name] = inverse_letters(images[name].letters)
-            pieces.append(img)
-    return Word._raw(join_all(pieces))
+    memo: dict[int, Optional[Codes]] = {}
+    for name, image in images.items():
+        c = _CODE.get((name, 1))
+        if c is not None:  # a name never coded is in no word
+            memo[c], memo[-c] = image._codes, None
+    return Word._raw(substitute_codes(w._codes, memo))
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -247,4 +342,4 @@ def commutator(a: Word, b: Word) -> Word:
 
 
 def multiply(*words: Word) -> Word:
-    return Word._raw(join_all(w.letters for w in words))
+    return Word._raw(join_all(w._codes for w in words))

@@ -252,6 +252,16 @@ def test_expand_json_flag_works_before_and_after_the_mode(mode, args):
     assert text.startswith(f"[ok] expand {mode}\n")
 
 
+def test_large_bavard_emit_output_is_unchanged():
+    """The emitted certificate of a large Bavard expansion (476 generators,
+    9,976 factors), hashed; the digest was computed with the ``(name,
+    sign)`` letters that preceded coded letters."""
+    code, output = run_cli(["expand", "bavard", "--r", "238", "--k", "42", "--emit", "--json"])
+    assert code == 0
+    digest = hashlib.sha256(output.encode("utf-8")).hexdigest()
+    assert digest == "d75fe585edab06c53d9a974f550b0de06231aa1e257a7cb5f54649db8e38a192"
+
+
 def test_expand_emit_prints_each_shared_conjugator_once(monkeypatch):
     """``bavard_expand`` shares one ``u**i`` across each run of r-1 factors;
     the emitted payload prints that conjugator once, not once per factor."""
@@ -278,7 +288,7 @@ def test_expand_emit_prints_each_shared_conjugator_once(monkeypatch):
     assert all(printed[c] == 1 for c in conjugators)
     emitted = json.loads(output)["certificate"]["factors"]
     assert [e["conjugator"] for e in emitted] == [
-        format_letters(f.conjugator.letters) for f in factors
+        format_letters(f.conjugator._codes) for f in factors
     ]
 
 

@@ -17,7 +17,6 @@ from twistscl import cli
 from twistscl.pi1 import evaluate
 from twistscl.scripts import check_script, parse_script
 from twistscl.twists import MoveError, Step, TwistWord, apply_step, default_configuration
-from twistscl.words import inverse_letters, parse_letters
 
 CFG = default_configuration()
 FULL_IMAGE_MAX_SYMBOLS = 16
@@ -56,9 +55,10 @@ def assert_acts_like_source(word: TwistWord, source: TwistWord, source_aut) -> N
 def random_source(rng: random.Random) -> TwistWord:
     symbols = []
     while not symbols or rng.random() < 0.6:
-        chunk = CFG.word(rng.choice(CHUNKS)).symbols
+        chunk = CFG.word(rng.choice(CHUNKS))
         if rng.random() < 0.3:
-            chunk = inverse_letters(chunk)
+            chunk = chunk.inverse()
+        chunk = chunk.symbols
         if len(symbols) + len(chunk) > 6:
             break
         symbols.extend(chunk)
@@ -165,7 +165,7 @@ def test_moves_are_sound_at_any_position():
             applied[move] += 1
             expected = word
             if move == "conjugate-equation":
-                conj = TwistWord(parse_letters(step.data, CFG.check_symbol))
+                conj = CFG.word(step.data)
                 expected = conj * word * conj.inverse()
             if value(after) != value(expected):
                 unsound.append((str(word), str(step), str(after)))

@@ -295,7 +295,8 @@ def test_configuration_repr_and_equality_show_only_public_fields():
 
 def test_default_configuration_is_one_shared_instance():
     assert default_configuration() is default_configuration() is CFG
-    assert CFG.expansions["alpha", -1] == W("t2 t2 t3^-1 t2^-1 t2^-1").symbols
+    t_alpha_inverse = -CFG.symbol_code("t_alpha")
+    assert CFG.expansions[t_alpha_inverse] == W("t2 t2 t3^-1 t2^-1 t2^-1")._codes
 
 
 def test_configuration_tables_follow_replace():
@@ -469,5 +470,5 @@ def test_step_data_for_odd_mapping_names_is_read_as_the_parser_reads_it():
     for name in ("1", "m^2", "m n", ""):
         with pytest.raises(ValueError, match="is not an identifier"):
             CFG.with_mapping(MappingSymbol(name, (("a1", "a2"),)))
-    for token, letter in CFG_G._letter_of_token.items():
-        assert parse_letters(token, CFG_G.check_symbol) == [letter]
+    for token, code in CFG_G._code_of_token.items():
+        assert parse_letters(token, CFG_G.symbol_code) == [code]

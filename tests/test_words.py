@@ -2,10 +2,16 @@ import random
 
 import pytest
 
+from twistscl import words
+from twistscl.scripts import ScriptSyntaxError, check_script, parse_script
+from twistscl.twists import TwistWord, default_configuration
 from twistscl.words import (
     MAX_PARSED_LETTERS,
     Word,
+    code_of,
     commutator,
+    decode,
+    encode,
     free_reduce,
     generators,
     join_all,
@@ -47,16 +53,16 @@ def test_reduce_matches_naive_oracle():
     rng = random.Random(1729)
     for _ in range(1000):
         letters = random_letters(rng, 40)
-        assert free_reduce(letters) == naive_reduce(letters)
+        assert decode(free_reduce(encode(letters))) == naive_reduce(letters)
 
 
 def test_reduce_idempotent_and_length_nonincreasing():
     rng = random.Random(7)
     for _ in range(1000):
-        letters = random_letters(rng, 40)
-        once = free_reduce(letters)
+        codes = encode(random_letters(rng, 40))
+        once = free_reduce(codes)
         assert free_reduce(once) == once
-        assert len(once) <= len(letters)
+        assert len(once) <= len(codes)
 
 
 def test_word_times_inverse_is_identity():
@@ -114,7 +120,7 @@ def test_power_matches_repeated_full_reduction():
         n = rng.randint(-7, 7)
         power = w ** n
         assert power == power_by_full_reduction(w, n), (str(w), n)
-        assert free_reduce(power.letters) == power.letters
+        assert free_reduce(power._codes) == power._codes
 
 
 @pytest.mark.parametrize("text", ["1", "x", "x y x y^-1 x^-1", "y^-1 x^3 y", "x y x^-1 y^-1"])
@@ -205,7 +211,7 @@ def test_substitute_matches_full_reduction():
 
         got = substitute(w, images)
         assert got.letters == reference(w.letters).letters
-        assert free_reduce(got.letters) == got.letters
+        assert free_reduce(got._codes) == got._codes
 
         used = {name for name, _ in w.letters}
         seen["empty image"] += any(not images[g].letters for g in used)
@@ -274,7 +280,7 @@ def test_join_all_matches_full_reduction():
             words.append(piece)
             so_far = so_far * piece
         flat = [letter for w in words for letter in w.letters]
-        assert join_all([w.letters for w in words]) == free_reduce(flat)
+        assert decode(join_all([w._codes for w in words])) == naive_reduce(flat)
         assert multiply(*words).letters == so_far.letters
 
         pool = words or [Word.identity()]
@@ -285,17 +291,18 @@ def test_join_all_matches_full_reduction():
 
 
 def _checker(alphabet, seen):
-    def check(name):
+    def code(name):
         seen.append(name)
         if name not in alphabet:
             raise ValueError(f"unknown symbol {name!r}")
-    return check
+        return code_of(name)
+    return code
 
 
 def test_parse_letters_checks_each_distinct_token_once():
     seen = []
     letters = parse_letters("t2 t1^-1 t2 t2 t1^-1 t1", _checker({"t1", "t2"}, seen))
-    assert letters == [("t2", 1), ("t1", -1), ("t2", 1), ("t2", 1), ("t1", -1), ("t1", 1)]
+    assert decode(letters) == (("t2", 1), ("t1", -1), ("t2", 1), ("t2", 1), ("t1", -1), ("t1", 1))
     assert seen == ["t2", "t1", "t1"]  # one check per distinct token text
 
 
@@ -311,5 +318,78 @@ def test_parse_letters_keeps_per_token_semantics():
     assert str(err.value) == f"word longer than {MAX_PARSED_LETTERS} letters at 't2^{half}'"
     assert len(parse_letters(f"t2^{half}", check)) == half
     # equal letters from different spellings
-    assert parse_letters("t2 t2^1 t2^+1", check) == [("t2", 1)] * 3
-    assert parse_letters("t2^-2 t2^-2", check) == [("t2", -1)] * 4
+    assert decode(parse_letters("t2 t2^1 t2^+1", check)) == (("t2", 1),) * 3
+    assert decode(parse_letters("t2^-2 t2^-2", check)) == (("t2", -1),) * 4
+
+
+def test_letters_and_symbols_are_read_only_decodings_read_once():
+    """``.letters`` and ``.symbols`` equal the ``(name, sign)`` oracle's
+    letters, whatever built the word, and are one tuple on every read."""
+    rng = random.Random(20261020)
+    names = ("x", "y", "z", "t1", "t_alpha")
+    for _ in range(500):
+        a = random_letters(rng, rng.randint(0, 20), names)
+        b = random_letters(rng, rng.randint(0, 20), names)
+        n = rng.randint(-3, 3)
+        oracle_pow = naive_reduce((a if n >= 0 else [(m, -s) for m, s in reversed(a)]) * abs(n))
+        built = (
+            (Word(a), naive_reduce(a)),
+            (Word(a) * Word(b), naive_reduce(a + b)),
+            (~Word(a), naive_reduce([(m, -s) for m, s in reversed(a)])),
+            (Word(a) ** n, oracle_pow),
+            (parse_word(str(Word(a))), naive_reduce(a)),
+            (substitute(Word(a), {g: Word(b) for g in names}), naive_reduce(
+                [l for m, s in a for l in (b if s > 0 else [(k, -t) for k, t in reversed(b)])])),
+        )
+        for w, letters in built:
+            assert w.letters == letters
+            assert w.letters is w.letters
+            assert list(w) == list(letters) and len(w) == len(letters)
+            with pytest.raises(AttributeError):
+                w.letters = ()
+            with pytest.raises(AttributeError):
+                del w.letters
+        tw = TwistWord(a)
+        for t, symbols in ((tw, tuple(a)), (tw * TwistWord(b), tuple(a + b)),
+                           (tw.inverse(), tuple((m, -s) for m, s in reversed(a))),
+                           (tw.reduce(), naive_reduce(a))):
+            assert t.symbols == symbols
+            assert t.symbols is t.symbols
+            with pytest.raises(AttributeError):
+                t.symbols = ()
+            with pytest.raises(AttributeError):
+                del t.symbols
+        assert all(type(name) is str and sign in (1, -1) for name, sign in tw.symbols)
+
+
+def test_refused_input_and_let_names_do_not_grow_the_intern_table():
+    cfg = default_configuration()
+    script = ("let fresh_let_a = t1 t2\nlet source = fresh_let_a^2 fresh_let_a^-1\n"
+              "step free-insert @0 fresh_step_name\nclaim fresh_let_a")
+    refusals = (
+        (lambda: parse_word("fresh_tok$en"), ValueError),
+        (lambda: parse_word("fresh_zero^0"), ValueError),
+        (lambda: parse_word("fresh_exp^x"), ValueError),
+        (lambda: Word([("fresh_sign", 2)]), ValueError),
+        (lambda: TwistWord([("fresh_twist", 1), ("fresh_sign", 0)]), ValueError),
+        (lambda: Word.generator("fresh_gen", 0), ValueError),
+        (lambda: cfg.word("t1 fresh_unknown"), ValueError),
+        (lambda: parse_script("let source = fresh_unknown\nclaim t1", cfg), ScriptSyntaxError),
+        (lambda: parse_script("map fresh_map a1->a2 a2->a4\nlet source = t1\nclaim t1", cfg),
+         ScriptSyntaxError),
+    )
+    before = len(words._LETTER)
+    for refuse, error in refusals:
+        with pytest.raises(error):
+            refuse()
+    # let names are spelled out, and an unknown step symbol is a failed step
+    report = check_script(parse_script(script, cfg)[0], cfg)
+    assert report.failure[1] == "@0: unknown symbol 'fresh_step_name'"
+    assert str(report.source) == "t1 t2 t1 t2 t2^-1 t1^-1" and str(report.claimed) == "t1 t2"
+    assert len(words._LETTER) == before
+    assert not [name for name, _ in words._CODE if str(name).startswith("fresh")]
+    # an accepted name enters once, with both signs
+    grows = ("fresh_accepted", 1) not in words._CODE
+    parse_word("fresh_accepted fresh_accepted^-2")
+    Word.generator("fresh_accepted")
+    assert len(words._LETTER) == before + 2 * grows
