@@ -80,19 +80,16 @@ def bound_report(spec: SurfaceSpec) -> SclBoundReport:
         g = spec.genus
         if g < 2:
             raise OutOfHypotheses("closed-surface bounds require genus >= 2")
-        threshold = 9 * g - 3
+        # The root of the fibration slope (18g-6)r - 1; the commutator-power
+        # threshold 9g-3 is 1/(2 lower).
+        lower = Fraction(1, 18 * g - 6)
+        threshold = lower.denominator // 2
         if spec.curve == NONSEPARATING:
             if g >= 3:
-                return SclBoundReport(
-                    "t_a", Fraction(1, 18 * g - 6), Fraction(3, 20), threshold, True
-                )
-            return SclBoundReport(
-                "t_a^10", Fraction(1, 3), Fraction(3, 2), threshold, True
-            )
+                return SclBoundReport("t_a", lower, Fraction(3, 20), threshold, True)
+            return SclBoundReport("t_a^10", 10 * lower, Fraction(3, 2), threshold, True)
         if g >= 3:
-            return SclBoundReport(
-                "t_a", Fraction(1, 18 * g - 6), Fraction(3, 4), threshold, True
-            )
+            return SclBoundReport("t_a", lower, Fraction(3, 4), threshold, True)
         # genus 2, both sides of the curve have genus 1
         return SclBoundReport("t_a^5", None, Fraction(41, 2), threshold, True)
     if spec.genus + spec.boundary < 2:
@@ -162,9 +159,5 @@ def growth_rate_lower(k_gen: int, spec: SurfaceSpec) -> Fraction:
     capped_genus = spec.genus + spec.boundary
     if capped_genus < 2:
         raise OutOfHypotheses("growth bound needs genus + boundary components >= 2")
-    if capped_genus == 2:
-        tenth_power_lower = Fraction(1, 3)
-    else:
-        # homogeneity: a bound for the twist scales by 10 for its tenth power
-        tenth_power_lower = Fraction(10, 18 * capped_genus - 6)
-    return tenth_power_lower / (10 * k_gen)
+    # the tenth power's bound 10/(18g-6), scaled by 1/(10 k_gen)
+    return Fraction(1, (18 * capped_genus - 6) * k_gen)

@@ -22,10 +22,10 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from .twists import CurveConfiguration, TwistWord, default_configuration
-from .words import Codes, Word, code_of, name_of, parse_word, substitute_codes
+from .words import Codes, Word, encode, name_of, parse_word, substitute_codes
 
 BASIS = ("x", "y", "z")
-_X, _Y, _Z = _BASIS_CODES = tuple(code_of(b) for b in BASIS)
+_X, _Y, _Z = _BASIS_CODES = tuple(encode((b, 1) for b in BASIS))
 # A blank per-call memo for ``substitute_codes``, indexed by signed code:
 # a copy gets each basis code's image in its slot, and the slot at the
 # negated code gets that image's inverse once needed.

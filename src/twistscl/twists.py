@@ -18,12 +18,13 @@ from typing import Iterable, NamedTuple, Optional
 
 from .words import (
     Codes,
+    CodedWord,
     Letter,
-    code_of,
+    _set_codes,
     decode,
     encode,
-    free_reduce,
     format_letters,
+    free_reduce,
     inverse_letters,
     join_reduced,
     name_of,
@@ -51,38 +52,13 @@ class MappingMismatch(ValueError):
     pass
 
 
-class TwistWord:
-    """A raw sequence of signed symbols (not implicitly reduced).
+class TwistWord(CodedWord):
+    """A raw sequence of signed symbols (not implicitly reduced)."""
 
-    The symbols are kept as ``words`` letter codes; ``symbols`` decodes
-    them on first read.
-    """
-
-    __slots__ = ("_codes", "_symbols")
+    __slots__ = ()
 
     def __init__(self, symbols: Iterable[Letter] = ()):
         _set_codes(self, tuple(encode(symbols)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistWord is immutable")
-
-    @classmethod
-    def _raw(cls, codes: Codes) -> "TwistWord":
-        """Wrap a tuple of already-coded symbols without re-scanning."""
-        w = _new_object(cls)
-        _set_codes(w, codes)
-        return w
-
-    @property
-    def symbols(self) -> tuple[Letter, ...]:
-        """The ``(name, sign)`` symbols, decoded on first read; the same
-        tuple on every read."""
-        try:
-            return self._symbols
-        except AttributeError:
-            symbols = decode(self._codes)
-            _set_symbols(self, symbols)
-            return symbols
 
     @classmethod
     def parse(cls, text: str, config: "CurveConfiguration") -> "TwistWord":
@@ -98,28 +74,9 @@ class TwistWord:
     def reduce(self) -> "TwistWord":
         return TwistWord._raw(free_reduce(self._codes))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwistWord) and self._codes == other._codes
 
-    def __hash__(self) -> int:
-        return hash(self._codes)
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __repr__(self) -> str:
-        return f"TwistWord({str(self)!r})"
-
-    def __str__(self) -> str:
-        return format_letters(self._codes)
-
-
-# Prebound for the hot constructors: ``_raw`` fills the slot directly, past
-# the refusing ``__setattr__``, and the moves build ``Step``s as plain
-# tuples of the subclass, past the NamedTuple's Python-level ``__new__``.
-_new_object = object.__new__
-_set_codes = TwistWord._codes.__set__
-_set_symbols = TwistWord._symbols.__set__
+# Prebound for the moves, which build ``Step``s as plain tuples of the
+# subclass, past the NamedTuple's Python-level ``__new__``.
 _new_tuple = tuple.__new__
 
 
@@ -225,8 +182,9 @@ class CurveConfiguration:
                     raise ValueError(f"mapping {name!r} sends the {before} pair {c1},{c2} "
                                      f"to the {after} pair {d1},{d2}")
         # Coded only now, so a refused configuration's names never enter the
-        # intern table.
-        code = {name: code_of(name) for name in names}
+        # intern table, and through ``encode``, so a name that would not
+        # read back (a non-ASCII identifier) is refused too.
+        code = dict(zip(names, encode([(name, 1) for name in names])))
         twist_code = {c: code[t] for c, t in twist_of.items()}
         expansions = {}
         for curve, (image_of, by) in self.definitions.items():

@@ -9,19 +9,23 @@ its letter with sign +1 is that code and its letter with sign -1 is the
 negated code, so a letter's inverse is its negation.  The codes come
 from one intern table shared by every word in the process, so two
 letters are equal exactly when their codes are.  All routines here work
-on codes only; ``Word.letters`` (and ``TwistWord.symbols``) show the
-same letters as read-only ``(name, sign)`` pairs, decoded on first read.
+on codes only.  ``CodedWord``, the one coded word type, shows a word's
+letters as read-only ``(name, sign)`` pairs, decoded on first read;
+``Word`` and the twist layer's ``TwistWord`` add only their algebra.
 
 The intern table only grows, by one entry per distinct name that an
-alphabet has accepted: a generator name that passed its character
-check, a configuration's symbol, or a name in ``(name, sign)`` letters
-handed to a constructor whose signs all passed.  ``parse_letters``
-codes a name only once the caller's alphabet has accepted it, so
-refused tokens and unknown symbols never enter, and neither do a proof
-script's ``let`` names, which are spelled out before they could become
-letters.  So the table holds at most the distinct accepted names the
-process has read: a few dozen for the library's own alphabets, plus the
-2r generators of the largest Bavard expansion built.
+alphabet has accepted.  Every name enters through ``encode`` (as
+constructors and configurations do) or ``parse_word``, which both apply
+the generator-name rule to a name not yet interned: a non-empty ``str``
+of ``[A-Za-z0-9_]``, so it prints as one token that reads back as
+itself.  A bad name or sign is refused with ValueError before any name
+of the word is interned.  ``parse_letters`` codes a name only once the
+caller's alphabet has accepted it, so refused tokens and unknown
+symbols never enter, and neither do a proof script's ``let`` names,
+which are spelled out before they could become letters.  So the table
+holds at most the distinct accepted names the process has read: a few
+dozen for the library's own alphabets, plus the 2r generators of the
+largest Bavard expansion built.
 
 A ``Word`` is an immutable sequence of signed letters.  All
 constructors reduce, so every ``Word`` in circulation is freely reduced
@@ -31,6 +35,7 @@ agree.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 # A decoded letter: a generator name with a sign, e.g. ("x", 1) or ("x", -1).
@@ -46,6 +51,9 @@ MAX_PARSED_LETTERS = 10**6
 # and ``_LETTER[code]`` its ``(name, sign)``.
 _CODE: dict[Letter, int] = {}
 _LETTER: dict[int, Letter] = {}
+
+# The generator-name rule, matched in full.
+_NAME_RULE = re.compile(r"[A-Za-z0-9_]+").fullmatch
 
 
 def code_of(name: str) -> int:
@@ -64,9 +72,21 @@ def name_of(code: int) -> str:
     return _LETTER[code][0]
 
 
+def _check_name(name) -> None:
+    if not (isinstance(name, str) and _NAME_RULE(name)):
+        raise ValueError(f"generator name must match [a-zA-Z0-9_]+, got {name!r}")
+
+
+def _generator_code(name: str) -> int:
+    """``code_of`` for a name that passed the generator-name rule."""
+    _check_name(name)
+    return code_of(name)
+
+
 def encode(letters: Iterable[Letter]) -> list[int]:
-    """Code ``(name, sign)`` letters; a sign other than +-1 is refused
-    before any new name is interned."""
+    """Code ``(name, sign)`` letters.  A sign other than +-1, or a name not
+    yet interned that breaks the generator-name rule, is refused before any
+    new name is interned."""
     letters = tuple(letters)
     try:
         return [_CODE[letter] for letter in letters]
@@ -75,6 +95,8 @@ def encode(letters: Iterable[Letter]) -> list[int]:
     for name, sign in letters:
         if sign not in (1, -1):
             raise ValueError(f"letter sign must be +1 or -1, got {sign!r} in {name!r}")
+        if (name, 1) not in _CODE:
+            _check_name(name)
     return [sign * code_of(name) for name, sign in letters]
 
 
@@ -197,48 +219,67 @@ def parse_letters(text: str, code: Callable[[str], int]) -> list[int]:
     return letters
 
 
-def _check_generator_name(name: str) -> None:
-    if not name or not all(c.isalnum() or c == "_" for c in name):
-        raise ValueError(f"generator name must match [a-zA-Z0-9_]+, got {name!r}")
+class CodedWord:
+    """An immutable tuple of letter codes, equal to another of its own class
+    with the same codes; the base of ``Word`` and ``TwistWord``."""
 
-
-def _generator_code(name: str) -> int:
-    _check_generator_name(name)
-    return code_of(name)
-
-
-class Word:
-    """A freely reduced word in the free group on named generators.
-
-    The letters are kept coded; ``letters`` decodes them on first read.
-    """
-
-    __slots__ = ("_codes", "_letters")
-
-    def __init__(self, letters: Iterable[Letter] = ()):
-        _set_codes(self, free_reduce(encode(letters)))
+    __slots__ = ("_codes", "_view")
 
     # Words are value types; never mutate them.
     def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def _raw(cls, codes: Codes) -> "Word":
-        """Wrap an already-reduced coded word without re-scanning."""
+    def _raw(cls, codes: Codes):
+        """Wrap an already-coded word (reduced, for a ``Word``) without
+        re-scanning."""
         w = _new_object(cls)
         _set_codes(w, codes)
         return w
 
     @property
     def letters(self) -> tuple[Letter, ...]:
-        """The ``(name, sign)`` letters, decoded on first read; the same
-        tuple on every read."""
+        """The ``(name, sign)`` letters (also spelled ``symbols``), decoded
+        on first read; the same tuple on every read."""
         try:
-            return self._letters
+            return self._view
         except AttributeError:
-            letters = decode(self._codes)
-            _set_letters(self, letters)
-            return letters
+            view = decode(self._codes)
+            _set_view(self, view)
+            return view
+
+    symbols = letters
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._codes == other._codes
+
+    def __hash__(self) -> int:
+        return hash(self._codes)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def __str__(self) -> str:
+        return format_letters(self._codes)
+
+
+# Prebound for the hot constructors: they fill the slots directly, past
+# the refusing ``__setattr__``.
+_new_object = object.__new__
+_set_codes = CodedWord._codes.__set__
+_set_view = CodedWord._view.__set__
+
+
+class Word(CodedWord):
+    """A freely reduced word in the free group on named generators."""
+
+    __slots__ = ()
+
+    def __init__(self, letters: Iterable[Letter] = ()):
+        _set_codes(self, free_reduce(encode(letters)))
 
     @classmethod
     def identity(cls) -> "Word":
@@ -246,10 +287,7 @@ class Word:
 
     @classmethod
     def generator(cls, name: str, sign: int = 1) -> "Word":
-        _check_generator_name(name)
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-        return cls._raw((sign * code_of(name),))
+        return cls._raw(tuple(encode(((name, sign),))))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -275,33 +313,12 @@ class Word:
         """Return ``by * self * by^-1``."""
         return by * self * ~by
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self._codes == other._codes
-
-    def __hash__(self) -> int:
-        return hash(self._codes)
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
     def is_identity(self) -> bool:
         return not self._codes
 
-    def __repr__(self) -> str:
-        return f"Word({str(self)!r})"
-
-    def __str__(self) -> str:
-        return format_letters(self._codes)
-
-
-# Prebound for the hot constructors: they fill the slots directly, past
-# the refusing ``__setattr__``.
-_new_object = object.__new__
-_set_codes = Word._codes.__set__
-_set_letters = Word._letters.__set__
 
 _IDENTITY = Word._raw(())
 

@@ -11,6 +11,7 @@ from twistscl.bounds import (
     growth_rate_lower,
     scl_from_counts,
 )
+from twistscl.fibration import find_contradiction_n
 
 
 def test_bound_table_genus_3_to_10():
@@ -161,3 +162,15 @@ def test_growth_rate_refusals():
         growth_rate_lower(1, SurfaceSpec(4, curve="bounds-punctured-disc"))
     with pytest.raises(ValueError):
         growth_rate_lower(0, SurfaceSpec(2))
+
+
+def test_printed_lower_bound_is_where_the_fibration_search_stops():
+    """``find_contradiction_n`` refutes a ratio r exactly below the lower
+    bound ``bound_report`` prints, just below, at and just above it."""
+    eps = F(1, 10**6)
+    for g in range(2, 21):
+        lower = bound_report(SurfaceSpec(g)).lower
+        if g == 2:
+            lower /= 10  # the genus-2 report bounds t_a^10
+        for r in (lower - eps, lower, lower + eps):
+            assert find_contradiction_n(g, r).impossible == (r >= lower), (g, r)

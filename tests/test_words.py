@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -159,10 +160,27 @@ def test_parse_rejects_garbage():
 
 
 def test_words_are_immutable_and_hashable():
-    w = parse_word("x y")
-    with pytest.raises(AttributeError):
-        w.letters = ()
-    assert len({w, parse_word("x y"), parse_word("y x")}) == 2
+    """Word and TwistWord share one coded base: immutable, compared by class
+    and codes, wrapped as their own class, printed under their own name."""
+    cfg = default_configuration()
+    cases = (
+        (parse_word("x y"), Word([("x", 1), ("y", 1)]), parse_word("y x"), "Word('x y')"),
+        (TwistWord.parse("t1 t2", cfg), TwistWord([("t1", 1), ("t2", 1)]),
+         TwistWord.parse("t2 t1", cfg), "TwistWord('t1 t2')"),
+    )
+    for w, same, other, shown in cases:
+        cls = type(w)
+        for attr in ("letters", "symbols", "_codes", "anything"):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                setattr(w, attr, ())
+        assert len({w, same, other}) == 2
+        raw = cls._raw(w._codes)
+        assert type(raw) is cls and raw == w
+        assert repr(w) == shown
+    # the same letters in the other class are a different value
+    x_y = (("x", 1), ("y", 1))
+    assert Word(x_y) != TwistWord(x_y) and TwistWord(x_y) != Word(x_y)
+    assert Word(x_y)._codes == TwistWord(x_y)._codes
 
 
 def test_multiply_varargs():
@@ -373,6 +391,11 @@ def test_refused_input_and_let_names_do_not_grow_the_intern_table():
         (lambda: Word([("fresh_sign", 2)]), ValueError),
         (lambda: TwistWord([("fresh_twist", 1), ("fresh_sign", 0)]), ValueError),
         (lambda: Word.generator("fresh_gen", 0), ValueError),
+        (lambda: Word([("x y", 1)]), ValueError),
+        (lambda: TwistWord([("", 1)]), ValueError),
+        (lambda: Word([(3, 1)]), ValueError),
+        (lambda: replace(cfg, twist_of_curve={**cfg.twist_of_curve, "a9": "fresh_t\u03b1"}),
+         ValueError),
         (lambda: cfg.word("t1 fresh_unknown"), ValueError),
         (lambda: parse_script("let source = fresh_unknown\nclaim t1", cfg), ScriptSyntaxError),
         (lambda: parse_script("map fresh_map a1->a2 a2->a4\nlet source = t1\nclaim t1", cfg),
