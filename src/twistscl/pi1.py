@@ -22,7 +22,9 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from .twists import CurveConfiguration, TwistWord, default_configuration
-from .words import Codes, Word, encode, name_of, parse_word, substitute_codes
+from .words import (
+    Coded, Word, _set_codes, encode, format_letters, name_of, parse_word, substitute_codes,
+)
 
 BASIS = ("x", "y", "z")
 _X, _Y, _Z = _BASIS_CODES = tuple(encode((b, 1) for b in BASIS))
@@ -37,13 +39,14 @@ def _strays(codes) -> set[int]:
     return set(map(abs, codes)).difference(_BASIS_CODES)
 
 
-class Automorphism:
+class Automorphism(Coded):
     """An automorphism of the free group on x, y, z, given by basis images.
 
-    The images are kept coded; ``images`` wraps them as ``Word``s on first read.
+    Its codes are the three coded images in BASIS order; ``images`` wraps
+    them as ``Word``s afresh on every read.
     """
 
-    __slots__ = ("_codes", "_images")
+    __slots__ = ()
 
     def __init__(self, images: Mapping[str, Word]):
         if set(images) != set(BASIS):
@@ -56,28 +59,12 @@ class Automorphism:
         if strays:
             raise ValueError(f"images must be words in {BASIS}, got {name_of(min(strays))!r}")
         _set_codes(self, codes)
-        _set_images(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Automorphism is immutable")
-
-    @classmethod
-    def _raw(cls, codes: tuple[Codes, Codes, Codes]) -> "Automorphism":
-        """Wrap reduced coded images in BASIS order, unchecked."""
-        a = _new_object(cls)
-        _set_codes(a, codes)
-        _set_images(a, None)
-        return a
 
     @property
     def images(self) -> Mapping[str, Word]:
-        """The basis images as Words, built on first read; read-only, because
-        the coded images are what compose, == and hash read."""
-        images = self._images
-        if images is None:
-            images = MappingProxyType({b: Word._raw(c) for b, c in zip(BASIS, self._codes)})
-            _set_images(self, images)
-        return images
+        """The basis images as Words, in a read-only mapping, because the
+        coded images are what compose, == and hash read."""
+        return MappingProxyType({b: Word._raw(c) for b, c in zip(BASIS, self._codes)})
 
     @classmethod
     def identity(cls) -> "Automorphism":
@@ -96,17 +83,11 @@ class Automorphism:
         memo[_X], memo[_Y], memo[_Z] = self._codes
         return Automorphism._raw(tuple([substitute_codes(c, memo) for c in other._codes]))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Automorphism) and self._codes == other._codes
-
-    def __hash__(self) -> int:
-        return hash(self._codes)
-
     def is_identity(self) -> bool:
         return self._codes == _IDENTITY._codes
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{b} -> {self.images[b]}" for b in BASIS)
+        body = ", ".join(f"{b} -> {format_letters(c)}" for b, c in zip(BASIS, self._codes))
         return f"Automorphism({body})"
 
     def homology_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -116,12 +97,6 @@ class Automorphism:
             for codes in self._codes
         )
 
-
-# Prebound for ``_raw``, which fills the slots directly, past the refusing
-# ``__setattr__``.
-_new_object = object.__new__
-_set_codes = Automorphism._codes.__set__
-_set_images = Automorphism._images.__set__
 
 _IDENTITY = Automorphism({b: Word.generator(b) for b in BASIS})
 

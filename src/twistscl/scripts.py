@@ -20,6 +20,9 @@ A binding named ``source`` is required.  A bound name is an identifier
 that names no twist or mapping symbol, so each token means one thing.
 Bound names can be used as symbols inside later words; ``name^-1`` is
 the inverse of the bound word and ``name^3`` spells it three times.
+A position is an int spelled as ``str`` prints it (``@0``, ``@12``,
+``@-1``; not ``@+1`` or ``@01``), and a script holds at most
+MAX_SCRIPT_STEPS steps.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from .words import MAX_PARSED_LETTERS, inverse_letters, parse_letters
 # Most symbols a replay's records may hold in all, summed over every
 # intermediate word; a longer replay is refused at the step that passes it.
 MAX_REPLAY_SYMBOLS = 10**7
+
+# Most steps one script may hold; the step line past it is refused while
+# parsing, before its step is built.
+MAX_SCRIPT_STEPS = 10**5
 
 _MOVE_KINDS = frozenset(MOVE_KINDS)
 
@@ -166,6 +173,9 @@ def parse_script(
             continue
         head, _, rest = line.partition(" ")
         if head == "step":
+            if len(steps) == MAX_SCRIPT_STEPS:
+                raise ScriptSyntaxError(
+                    line_no, f"more than MAX_SCRIPT_STEPS = {MAX_SCRIPT_STEPS} steps")
             parts = rest.split(None, 2)
             if len(parts) < 2 or not parts[1].startswith("@"):
                 raise ScriptSyntaxError(line_no, "step needs `step <move> @<index> [data]`")
@@ -174,6 +184,8 @@ def parse_script(
                 raise ScriptSyntaxError(line_no, f"unknown move {move!r}")
             try:
                 position = int(parts[1][1:])
+                if f"@{position}" != parts[1]:  # one spelling per position
+                    raise ValueError
             except ValueError:
                 raise ScriptSyntaxError(line_no, f"bad position {parts[1]!r}") from None
             steps.append(_new_tuple(Step, (move, position, parts[2] if len(parts) > 2 else "")))

@@ -9,9 +9,12 @@ its letter with sign +1 is that code and its letter with sign -1 is the
 negated code, so a letter's inverse is its negation.  The codes come
 from one intern table shared by every word in the process, so two
 letters are equal exactly when their codes are.  All routines here work
-on codes only.  ``CodedWord``, the one coded word type, shows a word's
-letters as read-only ``(name, sign)`` pairs, decoded on first read;
-``Word`` and the twist layer's ``TwistWord`` add only their algebra.
+on codes only.  ``Coded`` is the one value base: it holds nothing but
+the codes, and owns immutability, equality (same class, same codes) and
+hashing for ``Word``, the twist layer's ``TwistWord`` and ``pi1``'s
+``Automorphism``.  ``CodedWord`` adds a word's read-only ``(name, sign)``
+letters, decoded afresh on every read, and its printing; ``Word`` and
+``TwistWord`` add only their algebra.
 
 The intern table only grows, by one entry per distinct name that an
 alphabet has accepted.  Every name enters through ``encode`` (as
@@ -219,42 +222,51 @@ def parse_letters(text: str, code: Callable[[str], int]) -> list[int]:
     return letters
 
 
-class CodedWord:
-    """An immutable tuple of letter codes, equal to another of its own class
-    with the same codes; the base of ``Word`` and ``TwistWord``."""
+class Coded:
+    """An immutable value held as its codes alone, equal to another of its
+    own class with the same codes; the base of ``CodedWord`` and of
+    ``pi1.Automorphism``."""
 
-    __slots__ = ("_codes", "_view")
+    __slots__ = ("_codes",)
 
-    # Words are value types; never mutate them.
+    # Coded values are value types; never mutate them.
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def _raw(cls, codes: Codes):
-        """Wrap an already-coded word (reduced, for a ``Word``) without
+    def _raw(cls, codes):
+        """Wrap already-coded content (reduced, for a ``Word``) without
         re-scanning."""
-        w = _new_object(cls)
-        _set_codes(w, codes)
-        return w
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        """The ``(name, sign)`` letters (also spelled ``symbols``), decoded
-        on first read; the same tuple on every read."""
-        try:
-            return self._view
-        except AttributeError:
-            view = decode(self._codes)
-            _set_view(self, view)
-            return view
-
-    symbols = letters
+        v = _new_object(cls)
+        _set_codes(v, codes)
+        return v
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._codes == other._codes
 
     def __hash__(self) -> int:
         return hash(self._codes)
+
+
+# Prebound for the hot constructors: they fill the slot directly, past
+# the refusing ``__setattr__``.
+_new_object = object.__new__
+_set_codes = Coded._codes.__set__
+
+
+class CodedWord(Coded):
+    """A coded value whose codes are one tuple of letter codes; the base of
+    ``Word`` and ``TwistWord``."""
+
+    __slots__ = ()
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The ``(name, sign)`` letters (also spelled ``symbols``), decoded
+        afresh on every read."""
+        return decode(self._codes)
+
+    symbols = letters
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -264,13 +276,6 @@ class CodedWord:
 
     def __str__(self) -> str:
         return format_letters(self._codes)
-
-
-# Prebound for the hot constructors: they fill the slots directly, past
-# the refusing ``__setattr__``.
-_new_object = object.__new__
-_set_codes = CodedWord._codes.__set__
-_set_view = CodedWord._view.__set__
 
 
 class Word(CodedWord):

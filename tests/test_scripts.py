@@ -8,6 +8,7 @@ import pytest
 from twistscl import scripts
 from twistscl.scripts import (
     MAX_REPLAY_SYMBOLS,
+    MAX_SCRIPT_STEPS,
     ProofScript,
     ScriptSyntaxError,
     StepRecord,
@@ -255,6 +256,42 @@ def test_replay_at_exactly_the_symbol_budget_is_accepted(monkeypatch):
         check_script(script, cfg)
 
 
+@pytest.mark.parametrize("position, accepted", [
+    ("@0", True), ("@3", True), ("@10", True), ("@-1", True),
+    ("@+3", False), ("@03", False), ("@1_0", False), ("@\uff13", False), ("@-0", False),
+    ("@00", False), ("@3x", False),
+])
+def test_each_position_has_one_spelling(position, accepted):
+    text = f"let source = t4 t5\n# a comment\nstep commute {position}\nclaim t5 t4\n"
+    if accepted:
+        script, _ = parse_script(text, CFG)
+        assert serialize_script(script) == text.replace("# a comment\n", "")
+    else:
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse_script(text, CFG)
+        assert str(err.value) == f"line 3: bad position {position!r}"
+        assert err.value.line_no == 3
+
+
+def test_script_past_the_step_budget_is_refused_at_that_line(monkeypatch):
+    monkeypatch.setattr(scripts, "MAX_SCRIPT_STEPS", 5)
+    assert len(parse_script(_insertions(5), CFG)[0].steps) == 5
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script("# six steps\n" + _insertions(6), CFG)
+    assert str(err.value) == "line 8: more than MAX_SCRIPT_STEPS = 5 steps"
+    assert err.value.line_no == 8
+
+
+def test_script_past_the_real_step_budget_is_refused_while_parsing():
+    text = "let source = t1\n" + "step free-insert @0 t2\n" * (MAX_SCRIPT_STEPS + 1) + "claim t1\n"
+    start = time.perf_counter()
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script(text, CFG)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.line_no == MAX_SCRIPT_STEPS + 2
+    assert str(err.value).endswith(f"more than MAX_SCRIPT_STEPS = {MAX_SCRIPT_STEPS} steps")
+
+
 # ---------------------------------------------------------------------------
 # how a line is read, pinned over a corpus of unusual spellings
 # ---------------------------------------------------------------------------
@@ -266,7 +303,8 @@ def test_replay_at_exactly_the_symbol_budget_is_accepted(monkeypatch):
 _SEPARATORS = (" ", "  ", "\t", " \t ", "\xa0", "\x0b", "\x1c", " \x85")
 _HEAD_SEPARATORS = ((" ", "  ", " \t"), ("\t", "\xa0"))
 _LINE_ENDS = ("\n", "\r\n", "\r", " \n", "\t\r\n")
-_POSITIONS = (("@0", "@1", "@+3", "@-1", "@03", "@1_0", "@\uff13"), ("@", "@x", "@ 3", "0", ""))
+_POSITIONS = (("@0", "@1", "@-1", "@3", "@10"),
+              ("@", "@x", "@ 3", "0", "", "@+3", "@03", "@1_0", "@\uff13", "@-0"))
 _KINDS = (MOVE_KINDS, ("Braid", "twist", "free_insert"))
 _DATA = ("", "", "", "t1", "t2^-1", "t1   t2^-1  t3", "t1 # note", "t#1", "alpha", "g",
          "t_alpha^+1", "u", "t2 \xa0t1")
@@ -327,7 +365,7 @@ def test_parse_script_reads_unusual_spellings_as_pinned():
     accepted = sum(o.startswith("(ProofScript(") for o in outcomes)
     assert 200 < accepted < 400
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "0fb26fcdf9c182854a92c128901031f5f7af9be09711da39566166a306806eec"
+    assert digest == "06f96f5d6607fabe43f8dbf5bba92e88db3605b2fa2bffb6ad7e26a1ac76efb7"
 
 
 def test_fast_built_tuples_keep_their_public_types():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from twistscl import words
+from twistscl.pi1 import Automorphism, twist_automorphism
 from twistscl.scripts import ScriptSyntaxError, check_script, parse_script
 from twistscl.twists import TwistWord, default_configuration
 from twistscl.words import (
@@ -160,23 +161,29 @@ def test_parse_rejects_garbage():
 
 
 def test_words_are_immutable_and_hashable():
-    """Word and TwistWord share one coded base: immutable, compared by class
-    and codes, wrapped as their own class, printed under their own name."""
+    """Word, TwistWord and Automorphism share one coded base: immutable,
+    holding only their codes, compared by class and codes, wrapped as their
+    own class, printed under their own name."""
     cfg = default_configuration()
+    identity = Automorphism.identity()
     cases = (
         (parse_word("x y"), Word([("x", 1), ("y", 1)]), parse_word("y x"), "Word('x y')"),
         (TwistWord.parse("t1 t2", cfg), TwistWord([("t1", 1), ("t2", 1)]),
          TwistWord.parse("t2 t1", cfg), "TwistWord('t1 t2')"),
+        (identity, Automorphism(identity.images), twist_automorphism("a1"),
+         "Automorphism(x -> x, y -> y, z -> z)"),
     )
     for w, same, other, shown in cases:
         cls = type(w)
-        for attr in ("letters", "symbols", "_codes", "anything"):
+        for attr in ("letters", "symbols", "images", "_codes", "anything"):
             with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
                 setattr(w, attr, ())
         assert len({w, same, other}) == 2
         raw = cls._raw(w._codes)
         assert type(raw) is cls and raw == w
         assert repr(w) == shown
+        assert not hasattr(w, "__dict__")
+        assert [s for c in cls.__mro__ for s in c.__dict__.get("__slots__", ())] == ["_codes"]
     # the same letters in the other class are a different value
     x_y = (("x", 1), ("y", 1))
     assert Word(x_y) != TwistWord(x_y) and TwistWord(x_y) != Word(x_y)
@@ -340,9 +347,9 @@ def test_parse_letters_keeps_per_token_semantics():
     assert decode(parse_letters("t2^-2 t2^-2", check)) == (("t2", -1),) * 4
 
 
-def test_letters_and_symbols_are_read_only_decodings_read_once():
+def test_letters_and_symbols_are_read_only_decodings():
     """``.letters`` and ``.symbols`` equal the ``(name, sign)`` oracle's
-    letters, whatever built the word, and are one tuple on every read."""
+    letters, whatever built the word, and cannot be set or deleted."""
     rng = random.Random(20261020)
     names = ("x", "y", "z", "t1", "t_alpha")
     for _ in range(500):
@@ -361,7 +368,6 @@ def test_letters_and_symbols_are_read_only_decodings_read_once():
         )
         for w, letters in built:
             assert w.letters == letters
-            assert w.letters is w.letters
             assert list(w) == list(letters) and len(w) == len(letters)
             with pytest.raises(AttributeError):
                 w.letters = ()
@@ -372,7 +378,6 @@ def test_letters_and_symbols_are_read_only_decodings_read_once():
                            (tw.inverse(), tuple((m, -s) for m, s in reversed(a))),
                            (tw.reduce(), naive_reduce(a))):
             assert t.symbols == symbols
-            assert t.symbols is t.symbols
             with pytest.raises(AttributeError):
                 t.symbols = ()
             with pytest.raises(AttributeError):
