@@ -80,7 +80,7 @@ def four_twist_commutator(
     mapping symbol by naturality in three moves.
     """
     config = config or default_configuration()
-    if mapping.image_of(a) != d or mapping.image_of(b) != c:
+    if mapping.image(a, 1) != d or mapping.image(b, 1) != c:
         raise MappingMismatch(
             f"mapping {mapping.name!r} must send {a}->{d} and {b}->{c}; "
             f"declared {dict(mapping.mapping)}"

@@ -75,7 +75,7 @@ def invariants_report(g: int, r: Rational, n: int) -> FibrationInvariants:
     sigma_upper = 4 * g * rn - n + 4
     c1sq_upper = 3 * sigma_upper + 2 * chi
     c1sq_li_lower = 2 * (g - 1) * (rn - 1)
-    contradiction_value = (18 * g - 6) * rn - n + 18 - 6 * g
+    contradiction_value = c1sq_upper - c1sq_li_lower
 
     report = FibrationInvariants(
         g, r, n, rn, chi, b1_upper, b2minus_lower, b2plus_upper,

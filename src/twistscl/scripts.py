@@ -16,18 +16,20 @@ Text format (line oriented, ``#`` starts a comment):
     step <move> @<position> [<data>]
     claim <twist word>
 
-A binding named ``source`` is required.  A bound name is an identifier
-that names no twist or mapping symbol, so each token means one thing.
-Bound names can be used as symbols inside later words; ``name^-1`` is
-the inverse of the bound word and ``name^3`` spells it three times.
-A position is an int spelled as ``str`` prints it (``@0``, ``@12``,
-``@-1``; not ``@+1`` or ``@01``), and a script holds at most
-MAX_SCRIPT_STEPS steps.
+A binding named ``source`` is required.  A bound name passes the
+symbol-name rule (``words.is_name``) and names no twist or mapping
+symbol, so each token means one thing.  Bound names can be used as
+symbols inside later words; ``name^-1`` is the inverse of the bound
+word and ``name^3`` spells it three times.  A position is an int
+spelled as ``str`` prints it (``@0``, ``@12``, ``@-1``; not ``@+1`` or
+``@01``).  A script holds at most MAX_SCRIPT_STEPS steps, its bindings
+at most MAX_REPLAY_SYMBOLS symbols in all, and its ``map`` lines at
+most ``twists.MAX_MAPPINGS`` mapping symbols.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .twists import (
     CurveConfiguration,
@@ -39,10 +41,12 @@ from .twists import (
     _new_tuple,
     apply_step,
 )
-from .words import MAX_PARSED_LETTERS, inverse_letters, parse_letters
+from .words import MAX_PARSED_LETTERS, inverse_letters, is_name, parse_letters
 
 # Most symbols a replay's records may hold in all, summed over every
-# intermediate word; a longer replay is refused at the step that passes it.
+# intermediate word, and most symbols a script's ``let`` bindings may
+# hold in all; a longer replay is refused at the step that passes it,
+# and a script at the ``let`` line that does.
 MAX_REPLAY_SYMBOLS = 10**7
 
 # Most steps one script may hold; the step line past it is refused while
@@ -120,30 +124,20 @@ class ScriptSyntaxError(ValueError):
         self.line_no = line_no
 
 
-# A bound name parses as a stand-in code at or above this one, which no
-# interned name reaches, so ``let`` names never enter the intern table.
+# Each bound name gets a stand-in code at or above this one when it is bound;
+# no interned name reaches it, so ``let`` names never enter the intern table.
 _FIRST_BOUND_CODE = 1 << 62
 
 
 def _expand_bindings(
-    text: str, bindings: dict[str, TwistWord], config: CurveConfiguration, line_no: int
+    text: str, code: Callable[[str], int], bound: dict[int, TwistWord], line_no: int
 ) -> TwistWord:
-    bound: dict[int, TwistWord] = {}
-
-    def code(name: str) -> int:
-        word = bindings.get(name)
-        if word is None:
-            return config.symbol_code(name)
-        c = _FIRST_BOUND_CODE + list(bindings).index(name)
-        bound[c] = word
-        return c
-
     try:
         letters = parse_letters(text, code)
     except ValueError as err:
         raise ScriptSyntaxError(line_no, str(err)) from None
-    if not bound:  # the letters are the symbols, already capped
-        return TwistWord._raw(tuple(letters))
+    if max(map(abs, letters), default=0) < _FIRST_BOUND_CODE:
+        return TwistWord._raw(tuple(letters))  # no bound name: already capped
     symbols: list[int] = []
     for c in letters:
         word = bound.get(abs(c))
@@ -162,7 +156,12 @@ def parse_script(
     """Parse script text; returns the script and the configuration
     extended by any ``map`` declarations."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    bindings: dict[str, TwistWord] = {}
+    # Each bound name's stand-in code, and the word bound to each code.
+    bindings: dict[str, int] = {}
+    bound: dict[int, TwistWord] = {}
+    held = 0  # symbols the bindings hold in all
+    # The alphabet of the script's words: the latest ``config``'s plus the bindings.
+    code = lambda name: bindings.get(name) or config.symbol_code(name)
     steps: list[Step] = []
     claimed: Optional[TwistWord] = None
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -212,22 +211,28 @@ def parse_script(
                 raise ScriptSyntaxError(line_no, "let needs `let <name> = <word>`")
             if name in bindings:
                 raise ScriptSyntaxError(line_no, f"binding {name!r} redefined")
-            if not name.isidentifier():
+            if not is_name(name):
                 raise ScriptSyntaxError(line_no, f"binding name {name!r} is not an identifier")
             if name in config.curve_of_twist or name in config.mappings:
                 raise ScriptSyntaxError(line_no, f"symbol name {name!r} already in use")
-            bindings[name] = _expand_bindings(body.strip(), bindings, config, line_no)
+            word = _expand_bindings(body.strip(), code, bound, line_no)
+            held += len(word._codes)
+            if held > MAX_REPLAY_SYMBOLS:
+                raise ScriptSyntaxError(line_no, "bindings hold more than "
+                                        f"MAX_REPLAY_SYMBOLS = {MAX_REPLAY_SYMBOLS} symbols")
+            bindings[name] = c = _FIRST_BOUND_CODE + len(bindings)
+            bound[c] = word
         elif head == "claim":
             if claimed is not None:
                 raise ScriptSyntaxError(line_no, "duplicate claim")
-            claimed = _expand_bindings(rest, bindings, config, line_no)
+            claimed = _expand_bindings(rest, code, bound, line_no)
         else:
             raise ScriptSyntaxError(line_no, f"unknown directive {head!r}")
     if "source" not in bindings:
         raise ScriptSyntaxError(0, "script must bind `source`")
     if claimed is None:
         raise ScriptSyntaxError(0, "script must end with a claim")
-    return ProofScript(bindings["source"], tuple(steps), claimed), config
+    return ProofScript(bound[bindings["source"]], tuple(steps), claimed), config
 
 
 def serialize_script(

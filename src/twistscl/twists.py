@@ -26,10 +26,16 @@ from .words import (
     format_letters,
     free_reduce,
     inverse_letters,
+    is_name,
     join_reduced,
     name_of,
     parse_letters,
 )
+
+# Most mapping symbols one configuration may declare (the paper needs two);
+# a script's ``map`` lines each rebuild the configuration, so this bounds them.
+MAX_MAPPINGS = 64
+
 
 class MoveError(Exception):
     """A move failed to apply; carries the offending position."""
@@ -86,25 +92,22 @@ class MappingSymbol:
 
     name: str
     mapping: tuple[tuple[str, str], ...]
+    _image: dict[tuple[str, int], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        image = {}
+        for c, d in self.mapping:
+            image[c, 1], image[d, -1] = d, c
         # a partial bijection: each curve at most once on each side
-        for side in zip(*self.mapping):
-            if len(set(side)) != len(side):
-                raise ValueError(f"mapping {self.name!r} must name each curve "
-                                 "at most once on each side")
+        if len(image) != 2 * len(self.mapping):
+            raise ValueError(f"mapping {self.name!r} must name each curve "
+                             "at most once on each side")
+        object.__setattr__(self, "_image", image)
 
-    def image_of(self, curve: str) -> Optional[str]:
-        for c, d in self.mapping:
-            if c == curve:
-                return d
-        return None
-
-    def preimage_of(self, curve: str) -> Optional[str]:
-        for c, d in self.mapping:
-            if d == curve:
-                return c
-        return None
+    def image(self, curve: str, sign: int) -> Optional[str]:
+        """The image of ``curve`` under the symbol to the power ``sign``
+        (+-1; -1 reads the pairs backwards), or None where they do not say."""
+        return self._image.get((curve, sign))
 
 
 @dataclass(frozen=True)
@@ -140,16 +143,19 @@ class CurveConfiguration:
     _token_of_code: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.mappings) > MAX_MAPPINGS:
+            raise ValueError(f"more than MAX_MAPPINGS = {MAX_MAPPINGS} mapping symbols")
         twist_of = self.twist_of_curve
         curves = frozenset(twist_of)
         curve_of_twist = {t: c for c, t in twist_of.items()}
-        # Symbol names are distinct identifiers, so each one reads back
-        # through parse_letters as exactly that symbol.
+        # Symbol names are distinct and pass the symbol-name rule, so each
+        # one reads back through parse_letters as exactly that symbol.
         names = (*twist_of.values(), *self.mappings)
+        first = {}
         for i, name in enumerate(names):
-            if not name.isidentifier():
+            if not is_name(name):
                 raise ValueError(f"symbol name {name!r} is not an identifier")
-            if names.index(name) != i:
+            if first.setdefault(name, i) != i:
                 raise ValueError(f"symbol name {name!r} already in use")
         if self.braid_pairs & self.disjoint_pairs:
             raise ValueError("a pair cannot be both braid and disjoint")
@@ -164,8 +170,8 @@ class CurveConfiguration:
         # A definition conjugates the twist of an undefined curve by twists of
         # undefined curves, so an expansion never names a defined curve.
         undefined = curves.difference(self.definitions)
-        for curve, (image_of, by) in self.definitions.items():
-            used = {image_of, *(curve_of_twist.get(name) for name, _ in by.symbols)}
+        for curve, (base, by) in self.definitions.items():
+            used = {base, *(curve_of_twist.get(name) for name, _ in by.symbols)}
             if curve not in curves or not used <= undefined:
                 raise ValueError(f"definition of {curve!r} must conjugate the twist of an "
                                  "undefined curve by twists of undefined curves")
@@ -182,16 +188,15 @@ class CurveConfiguration:
                     raise ValueError(f"mapping {name!r} sends the {before} pair {c1},{c2} "
                                      f"to the {after} pair {d1},{d2}")
         # Coded only now, so a refused configuration's names never enter the
-        # intern table, and through ``encode``, so a name that would not
-        # read back (a non-ASCII identifier) is refused too.
+        # intern table.
         code = dict(zip(names, encode([(name, 1) for name in names])))
         twist_code = {c: code[t] for c, t in twist_of.items()}
         expansions = {}
-        for curve, (image_of, by) in self.definitions.items():
+        for curve, (base, by) in self.definitions.items():
             inverse = inverse_letters(by._codes)
             for c in (twist_code[curve], -twist_code[curve]):
                 sign = 1 if c > 0 else -1
-                expansions[c] = by._codes + (sign * twist_code[image_of],) + inverse
+                expansions[c] = by._codes + (sign * twist_code[base],) + inverse
         # In the order chain-substitute tries them; the first match wins.
         chain_sides = ()
         for left, right in self.chain_relations:
@@ -412,12 +417,12 @@ def _conjugate_equation(syms, step, config) -> _Rewrite:
 def _twist_naturality(syms, step, config) -> _Rewrite:
     p = step.position
     m = _step_symbol(step, config)
-    mname = name_of(m)
+    code, mname = abs(m), name_of(m)
     mapping = config.mappings.get(mname)
     if mapping is None:
         raise UnregisteredRelation(p, f"{mname!r} is not a declared mapping symbol")
-    if p < len(syms) and abs(syms[p]) == abs(m):
-        # collapse  m t_c m^-1  ->  t_{m(c)}  (or preimage for m^-1 ... m);
+    if p < len(syms) and abs(syms[p]) == code:
+        # collapse  m^s t_c m^-s  ->  t_{m^s(c)}  (s = +-1, read off the word);
         # undone by expanding with the mapping symbol found here
         first, mid, last = _window(syms, step, 3)
         if last != -first:
@@ -425,7 +430,7 @@ def _twist_naturality(syms, step, config) -> _Rewrite:
         curve = config.curve_of_code.get(abs(mid))
         if curve is None:
             raise PatternMismatch(p, f"{name_of(mid)!r} is not a twist symbol")
-        target = mapping.image_of(curve) if first > 0 else mapping.preimage_of(curve)
+        target = mapping.image(curve, first // code)
         if target is None:
             raise UnregisteredRelation(
                 p, f"mapping {mname!r} does not determine the image of {curve!r}"
@@ -433,12 +438,11 @@ def _twist_naturality(syms, step, config) -> _Rewrite:
         out = syms[:p] + (_twist_code(config, target, 1 if mid > 0 else -1),) + syms[p + 3 :]
         return out, Step(step.move, p, format_letters(syms[p : p + 1]))
     if p < len(syms) and abs(syms[p]) in config.curve_of_code:
-        # expand  t_d -> m t_{m^-1(d)} m^-1   (data m)
-        #         t_d -> m^-1 t_{m(d)} m      (data m^-1)
+        # expand  t_d -> m^s t_{m^-s(d)} m^-s  (data m^s);
         # undone by collapsing, which reads the direction off the word
         tw = syms[p]
         curve = config.curve_of_code[abs(tw)]
-        inner = mapping.preimage_of(curve) if m > 0 else mapping.image_of(curve)
+        inner = mapping.image(curve, -m // code)
         if inner is None:
             raise UnregisteredRelation(
                 p, f"mapping {mname!r} does not reach {curve!r} in this direction"

@@ -17,13 +17,14 @@ letters, decoded afresh on every read, and its printing; ``Word`` and
 ``TwistWord`` add only their algebra.
 
 The intern table only grows, by one entry per distinct name that an
-alphabet has accepted.  Every name enters through ``encode`` (as
-constructors and configurations do) or ``parse_word``, which both apply
-the generator-name rule to a name not yet interned: a non-empty ``str``
-of ``[A-Za-z0-9_]``, so it prints as one token that reads back as
-itself.  A bad name or sign is refused with ValueError before any name
-of the word is interned.  ``parse_letters`` codes a name only once the
-caller's alphabet has accepted it, so refused tokens and unknown
+alphabet has accepted.  Every name enters through ``code_of``, which
+applies the one symbol-name rule, ``is_name``, to a name not yet
+interned: an ASCII identifier (NAME_PATTERN), so it prints as one token
+that reads back as itself, never as the identity's ``1``.  ``encode``,
+which constructors and configurations use, checks a whole word's new
+names first, so a bad name or sign is refused with ValueError before any
+name of the word is interned.  ``parse_letters`` codes a name only once
+the caller's alphabet has accepted it, so refused tokens and unknown
 symbols never enter, and neither do a proof script's ``let`` names,
 which are spelled out before they could become letters.  So the table
 holds at most the distinct accepted names the process has read: a few
@@ -55,14 +56,17 @@ MAX_PARSED_LETTERS = 10**6
 _CODE: dict[Letter, int] = {}
 _LETTER: dict[int, Letter] = {}
 
-# The generator-name rule, matched in full.
-_NAME_RULE = re.compile(r"[A-Za-z0-9_]+").fullmatch
+# The symbol-name rule, matched in full by ``is_name``.
+NAME_PATTERN = "[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RULE = re.compile(NAME_PATTERN).fullmatch
 
 
 def code_of(name: str) -> int:
-    """The positive code of ``name``, interned on first use."""
+    """The positive code of ``name``, interned on first use, when a name
+    that breaks the symbol-name rule is refused with ValueError."""
     code = _CODE.get((name, 1))
     if code is None:
+        _check_name(name)
         code = len(_LETTER) // 2 + 1
         for sign in (1, -1):
             _CODE[name, sign] = sign * code
@@ -75,20 +79,19 @@ def name_of(code: int) -> str:
     return _LETTER[code][0]
 
 
+def is_name(name) -> bool:
+    """The one symbol-name check, for generators, symbols and ``let`` names."""
+    return isinstance(name, str) and _NAME_RULE(name) is not None
+
+
 def _check_name(name) -> None:
-    if not (isinstance(name, str) and _NAME_RULE(name)):
-        raise ValueError(f"generator name must match [a-zA-Z0-9_]+, got {name!r}")
-
-
-def _generator_code(name: str) -> int:
-    """``code_of`` for a name that passed the generator-name rule."""
-    _check_name(name)
-    return code_of(name)
+    if not is_name(name):
+        raise ValueError(f"generator name must match {NAME_PATTERN}, got {name!r}")
 
 
 def encode(letters: Iterable[Letter]) -> list[int]:
     """Code ``(name, sign)`` letters.  A sign other than +-1, or a name not
-    yet interned that breaks the generator-name rule, is refused before any
+    yet interned that breaks the symbol-name rule, is refused before any
     new name is interned."""
     letters = tuple(letters)
     try:
@@ -339,7 +342,7 @@ def parse_word(text: str) -> Word:
     Each token is a generator name with an optional ``^<int>`` exponent.
     ``"1"`` (alone) denotes the identity.
     """
-    return Word._raw(free_reduce(parse_letters(text, _generator_code)))
+    return Word._raw(free_reduce(parse_letters(text, code_of)))
 
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:

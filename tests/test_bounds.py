@@ -11,6 +11,7 @@ from twistscl.bounds import (
     growth_rate_lower,
     scl_from_counts,
 )
+from twistscl.certificates import tenth_power_certificate
 from twistscl.fibration import find_contradiction_n
 
 
@@ -174,3 +175,13 @@ def test_printed_lower_bound_is_where_the_fibration_search_stops():
             lower /= 10  # the genus-2 report bounds t_a^10
         for r in (lower - eps, lower, lower + eps):
             assert find_contradiction_n(g, r).impossible == (r >= lower), (g, r)
+
+
+def test_nonseparating_upper_bound_is_read_off_the_tenth_power_certificate():
+    """A product of r commutators has scl at most r - 1/2; the tenth-power
+    certificate writes t^10 as r of them, so scl(t) <= (r - 1/2)/10."""
+    r = len(tenth_power_certificate().expression.factors)
+    assert r == 2
+    for g in range(3, 21):
+        assert bound_report(SurfaceSpec(g)).upper == (r - F(1, 2)) / 10, g
+    assert bound_report(SurfaceSpec(2)).upper == r - F(1, 2)  # bounds t_a^10

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from twistscl import scripts
+from twistscl import scripts, twists
 from twistscl.scripts import (
     MAX_REPLAY_SYMBOLS,
     MAX_SCRIPT_STEPS,
@@ -17,6 +17,7 @@ from twistscl.scripts import (
     serialize_script,
 )
 from twistscl.twists import (
+    MAX_MAPPINGS,
     MOVE_KINDS,
     MappingSymbol,
     Step,
@@ -157,6 +158,8 @@ def test_parser_crlf_normalization():
     ("map g a1->a2\nlet g = t2\nlet source = g\nclaim t2", "line 2: symbol name 'g' already in use"),
     ("let g = t2\nmap g a1->a2\nlet source = g\nclaim t2", "line 2: symbol name 'g' already in use"),
     ("let p^2 = t1\nlet source = t1\nclaim t1", "line 1: binding name 'p^2' is not an identifier"),
+    ("let 1a = t1\nlet source = t1\nclaim t1", "line 1: binding name '1a' is not an identifier"),
+    ("let \u03b1 = t1\nlet source = t1\nclaim t1", "line 1: binding name '\u03b1' is not an identifier"),
 ])
 def test_parser_rejects_malformed_scripts(bad, message):
     with pytest.raises(ScriptSyntaxError) as err:
@@ -290,6 +293,60 @@ def test_script_past_the_real_step_budget_is_refused_while_parsing():
     assert time.perf_counter() - start < 1.0
     assert err.value.line_no == MAX_SCRIPT_STEPS + 2
     assert str(err.value).endswith(f"more than MAX_SCRIPT_STEPS = {MAX_SCRIPT_STEPS} steps")
+
+
+def test_chained_bindings_parse_in_linear_time():
+    lines = 20_000
+    text = "let b0 = t1\n" + "".join(f"let b{i} = b{i - 1}\n" for i in range(1, lines))
+    start = time.perf_counter()
+    script, _ = parse_script(text + f"let source = b{lines - 1}\nclaim t1\n", CFG)
+    assert time.perf_counter() - start < 1.0
+    assert script.source == W("t1")
+
+
+def _maps(count: int) -> str:
+    return "".join(f"map g{i} a1->a2\n" for i in range(count)) + "let source = t1\nclaim t1\n"
+
+
+def test_script_past_the_mapping_budget_is_refused_at_that_line(monkeypatch):
+    monkeypatch.setattr(twists, "MAX_MAPPINGS", 3)
+    assert len(parse_script(_maps(3), CFG)[1].mappings) == 3
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script("# four maps\n" + _maps(4), CFG)
+    assert str(err.value) == "line 5: more than MAX_MAPPINGS = 3 mapping symbols"
+    assert err.value.line_no == 5
+
+
+def test_script_past_the_real_mapping_budget_is_refused_while_parsing():
+    start = time.perf_counter()
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script(_maps(2000), CFG)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.line_no == MAX_MAPPINGS + 1
+    assert str(err.value).endswith(f"more than MAX_MAPPINGS = {MAX_MAPPINGS} mapping symbols")
+
+
+def test_bindings_past_the_symbol_budget_are_refused_at_that_line(monkeypatch):
+    monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 7)
+    text = "let a = t1 t2\nlet b = a a^-1\nlet source = t1\nclaim t1\n"
+    assert parse_script(text, CFG)[0].source == W("t1")  # bindings hold 2 + 4 + 1
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script("let c = t1\n" + text, CFG)
+    assert str(err.value) == ("line 4: bindings hold more than "
+                              "MAX_REPLAY_SYMBOLS = 7 symbols")
+
+
+def test_copied_bindings_past_the_real_symbol_budget_are_refused():
+    # 542 bytes whose bindings would hold forty copies of a 10**6-symbol word
+    text = ("let b0 = t1^1000000\n" + "".join(f"let b{i} = b0\n" for i in range(1, 40))
+            + "let source = t1\nclaim t1")
+    assert len(text) == 542
+    start = time.perf_counter()
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script(text, CFG)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.line_no == 11
+    assert "bindings hold more than" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from twistscl.twists import (
+    MAX_MAPPINGS,
     MOVE_KINDS,
     CurveConfiguration,
     MappingSymbol,
@@ -182,6 +183,13 @@ def test_twist_naturality_with_declared_mapping():
         apply_step(cfg.word("g t2 g^-1"), Step("twist-naturality", 0, "g"), cfg)
 
 
+def test_mapping_image_reads_the_pairs_by_sign():
+    g = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
+    assert [g.image(c, 1) for c in ("a4", "alpha", "a1")] == ["a1", "a5", None]
+    assert [g.image(c, -1) for c in ("a1", "a5", "a4")] == ["a4", "alpha", None]
+    assert g.image("a2", 1) is g.image("a2", -1) is None  # a curve g does not reach
+
+
 def test_mapping_symbols_must_be_injective():
     for pairs in (
         (("a1", "a3"), ("a2", "a3")),  # not injective
@@ -352,6 +360,12 @@ MALFORMED = [
     ("mapping-registered-under-another-name",
      _with(mappings={"m": MappingSymbol("n", (("a1", "a2"),))}),
      "mapping 'n' is registered as 'm'"),
+    ("constructor-with-one-mapping-too-many",
+     lambda: CurveConfiguration(
+         CFG.twist_of_curve, CFG.braid_pairs, CFG.disjoint_pairs, CFG.chain_relations,
+         CFG.definitions,
+         {f"m{i}": MappingSymbol(f"m{i}", (("a1", "a2"),)) for i in range(MAX_MAPPINGS + 1)}),
+     f"more than MAX_MAPPINGS = {MAX_MAPPINGS} mapping symbols"),
     ("mapping-sends-a-braid-pair-to-a-disjoint-pair",
      lambda: CFG.with_mapping(MappingSymbol("m", (("a1", "a2"), ("a2", "a4")))),
      "mapping 'm' sends the braid pair a1,a2 to the disjoint pair a2,a4"),

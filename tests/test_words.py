@@ -399,6 +399,11 @@ def test_refused_input_and_let_names_do_not_grow_the_intern_table():
         (lambda: Word([("x y", 1)]), ValueError),
         (lambda: TwistWord([("", 1)]), ValueError),
         (lambda: Word([(3, 1)]), ValueError),
+        # a name must not start with a digit: "1" would print as the identity
+        (lambda: Word.generator("1"), ValueError),
+        (lambda: TwistWord([("1", 1)]), ValueError),
+        (lambda: parse_word("2x"), ValueError),
+        (lambda: code_of("3y"), ValueError),
         (lambda: replace(cfg, twist_of_curve={**cfg.twist_of_curve, "a9": "fresh_t\u03b1"}),
          ValueError),
         (lambda: cfg.word("t1 fresh_unknown"), ValueError),
