@@ -85,9 +85,12 @@ def bound_report(spec: SurfaceSpec) -> SclBoundReport:
         lower = Fraction(1, 18 * g - 6)
         threshold = lower.denominator // 2
         if spec.curve == NONSEPARATING:
+            # scl is homogeneous: the twist's upper bound is the tenth
+            # power's 3/2 over 10, as the tenth power's lower is 10 lower.
+            tenth_upper = Fraction(3, 2)
             if g >= 3:
-                return SclBoundReport("t_a", lower, Fraction(3, 20), threshold, True)
-            return SclBoundReport("t_a^10", 10 * lower, Fraction(3, 2), threshold, True)
+                return SclBoundReport("t_a", lower, tenth_upper / 10, threshold, True)
+            return SclBoundReport("t_a^10", 10 * lower, tenth_upper, threshold, True)
         if g >= 3:
             return SclBoundReport("t_a", lower, Fraction(3, 4), threshold, True)
         # genus 2, both sides of the curve have genus 1

@@ -186,6 +186,10 @@ def _cmd_bounds(args) -> _Outcome:
 
 def _cmd_numerology(args) -> _Outcome:
     try:
+        # An exponent form such as 1e3000000 is refused before Fraction
+        # spends seconds building its power of ten.
+        if "e" in args.r.lower():
+            raise ValueError
         r = Fraction(args.r)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational {args.r!r}") from None
@@ -287,13 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = " ".join([args.command, *(getattr(args, a) for a in ("mode", "what") if a in args)])
+    render = lambda report: report.to_json() if args.json else report.to_text()
+    # Rendering is inside the refusal path: a report can hold an int too
+    # long for Python to print.
     try:
         report = Report(command, *args.func(args))
+        text = render(report)
     except (ValueError, OSError, ExpansionNotFound) as err:
         report = Report(command, "refused", {"error": str(err)})
-    code = _EXIT_CODES[report.status]
-    print(report.to_json() if args.json else report.to_text())
-    return code
+        text = render(report)
+    print(text)
+    return _EXIT_CODES[report.status]
 
 
 if __name__ == "__main__":

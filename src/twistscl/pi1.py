@@ -98,17 +98,8 @@ class Automorphism(Coded):
         )
 
 
-_IDENTITY = Automorphism({b: Word.generator(b) for b in BASIS})
-
-
-def _inner(by: Word) -> Automorphism:
-    return Automorphism({b: Word.generator(b).conjugate(by) for b in BASIS})
-
-
-def _aut(x_img: str, y_img: str, z_img: str) -> Automorphism:
-    return Automorphism(
-        {"x": parse_word(x_img), "y": parse_word(y_img), "z": parse_word(z_img)}
-    )
+_x, _y, _z = _GENERATORS = tuple(Word.generator(b) for b in BASIS)
+_IDENTITY = Automorphism(dict(zip(BASIS, _GENERATORS)))
 
 
 # Boundary class of the model: fixed by all three chain twists.
@@ -117,27 +108,30 @@ BOUNDARY_CLASS = parse_word("z x^-1")
 # The paper's displayed equality t4 a^-1 t5 t1^-1 = t2^4 (t1 t2^-1 b t2^-1) t2^6.
 DISPLAYED_EQUALITY = ("t4 t_alpha^-1 t5 t1^-1", "t2^4 t1 t2^-1 t_beta t2^-1 t2^6")
 
+# Each model twist, declared once: the basis letters it moves, each by
+# b -> left b right, where the twist fixes both left and right (it leaves
+# the other letters alone).  So b -> left^-1 b right^-1 is its exact inverse.
+_ONE, _K = Word.identity(), BOUNDARY_CLASS
+_TWIST_TABLE: dict[str, tuple[tuple[str, ...], Word, Word]] = {
+    "a1": (("y",), _ONE, _x),
+    "a2": (("x", "z"), _ONE, ~_y),
+    "a3": (("y",), _z, _ONE),
+    "a4": (BASIS, _K ** 2, _K ** -2),
+    "a5": (BASIS, ~_K, _K),
+}
+
+
+def _moving(moved: tuple[str, ...], left: Word, right: Word) -> Automorphism:
+    return Automorphism({b: left * g * right if b in moved else g
+                         for b, g in zip(BASIS, _GENERATORS)})
+
+
 _TWISTS: dict[str, Automorphism] = {
-    "a1": _aut("x", "y x", "z"),
-    "a2": _aut("x y^-1", "y", "z y^-1"),
-    "a3": _aut("x", "z y", "z"),
-    "a4": _inner(BOUNDARY_CLASS ** 2),
-    "a5": _inner(~BOUNDARY_CLASS),
+    c: _moving(moved, left, right) for c, (moved, left, right) in _TWIST_TABLE.items()
 }
-
 _TWIST_INVERSES: dict[str, Automorphism] = {
-    "a1": _aut("x", "y x^-1", "z"),
-    "a2": _aut("x y", "y", "z y"),
-    "a3": _aut("x", "z^-1 y", "z"),
-    "a4": _inner(BOUNDARY_CLASS ** -2),
-    "a5": _inner(BOUNDARY_CLASS),
+    c: _moving(moved, ~left, ~right) for c, (moved, left, right) in _TWIST_TABLE.items()
 }
-
-for _c in _TWISTS:
-    if not _TWISTS[_c].compose(_TWIST_INVERSES[_c]).is_identity():
-        raise AssertionError(f"stored inverse for twist along {_c} is wrong")
-    if not _TWIST_INVERSES[_c].compose(_TWISTS[_c]).is_identity():
-        raise AssertionError(f"stored inverse for twist along {_c} is wrong")
 
 
 class UnknownCurve(KeyError):
@@ -216,21 +210,11 @@ class ModelReport(NamedTuple):
 
 
 def _is_unipotent_transvection(m: tuple[tuple[int, ...], ...]) -> bool:
-    """det = +-1 and (M - I)^2 = 0, which covers transvections and the identity."""
-    a, b, c = m
-    det = (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-    if det not in (1, -1):
-        return False
+    """(M - I)^2 = 0, which covers transvections and the identity; it
+    makes M - I nilpotent, so det M = 1 follows."""
     n = [[m[i][j] - (1 if i == j else 0) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            if sum(n[i][k] * n[k][j] for k in range(3)) != 0:
-                return False
-    return True
+    return all(sum(n[i][k] * n[k][j] for k in range(3)) == 0
+               for i in range(3) for j in range(3))
 
 
 def validate_model(config: Optional[CurveConfiguration] = None) -> ModelReport:
@@ -266,7 +250,7 @@ def validate_model(config: Optional[CurveConfiguration] = None) -> ModelReport:
         check(f"boundary twist {c} is a nontrivial automorphism",
               not twist_automorphism(c).is_identity())
 
-    for c in ("a1", "a2", "a3", "a4", "a5"):
+    for c in _TWIST_TABLE:
         m = twist_automorphism(c).homology_matrix()
         check(f"homology action of twist along {c} is a unipotent transvection",
               _is_unipotent_transvection(m))

@@ -39,7 +39,6 @@ agree.
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 # A decoded letter: a generator name with a sign, e.g. ("x", 1) or ("x", -1).
@@ -56,9 +55,8 @@ MAX_PARSED_LETTERS = 10**6
 _CODE: dict[Letter, int] = {}
 _LETTER: dict[int, Letter] = {}
 
-# The symbol-name rule, matched in full by ``is_name``.
+# The symbol-name rule that ``is_name`` checks, spelled out for messages.
 NAME_PATTERN = "[A-Za-z_][A-Za-z0-9_]*"
-_NAME_RULE = re.compile(NAME_PATTERN).fullmatch
 
 
 def code_of(name: str) -> int:
@@ -80,8 +78,9 @@ def name_of(code: int) -> str:
 
 
 def is_name(name) -> bool:
-    """The one symbol-name check, for generators, symbols and ``let`` names."""
-    return isinstance(name, str) and _NAME_RULE(name) is not None
+    """The one symbol-name check, for generators, symbols and ``let`` names:
+    an ASCII identifier, which is exactly a full match of NAME_PATTERN."""
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 def _check_name(name) -> None:

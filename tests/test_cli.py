@@ -207,6 +207,8 @@ REFUSED = [
     for name, args, error in (
         ("r-zero-denominator", ["--genus", "3", "--r", "1/0"], "bad rational '1/0'"),
         ("r-not-rational", ["--genus", "3", "--r", "abc"], "bad rational 'abc'"),
+        ("r-exponent", ["--genus", "3", "--r", "1e3000000"], "bad rational '1e3000000'"),
+        ("r-small-exponent", ["--genus", "3", "--r", "1E2"], "bad rational '1E2'"),
         ("genus1", ["--genus", "1", "--r", "1/2"], "fiber genus must be >= 2"),
     )
     for n in (["--n", "2"], ["--find-n"])
@@ -217,6 +219,20 @@ REFUSED = [
                          ids=[c[0] for c in REFUSED])
 def test_refused_input_prints_one_refused_report(tmp_path, argv, command, error):
     assert error in assert_refused(_refused_argv(tmp_path, argv), command)
+
+
+def test_numerology_ledger_too_long_to_print_is_refused():
+    """A ledger whose ints pass Python's int-to-string limit is refused
+    with exit 2 when the report is rendered, not ended by a traceback."""
+    nines = "9" * 4000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        error = assert_refused(["numerology", "--genus", nines, "--r", "1", "--n", nines],
+                               "numerology")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "integer string conversion" in error
 
 
 def test_expand_culler_beyond_table_is_refused():

@@ -39,6 +39,16 @@ def test_generator_inverses_restore_basis():
         assert inv.compose(aut).is_identity()
 
 
+def test_each_twist_fixes_the_words_it_moves_letters_by():
+    """The premise of the derived inverses: a twist sends each moved letter
+    b to left b right and fixes left and right, so b -> left^-1 b right^-1
+    undoes it."""
+    for curve, (_, left, right) in pi1._TWIST_TABLE.items():
+        aut = twist_automorphism(curve)
+        assert aut.apply(left) == left, curve
+        assert aut.apply(right) == right, curve
+
+
 def test_braid_relation_in_representation():
     assert equal_in_rep(W("t1 t2 t1"), W("t2 t1 t2"), CFG)
     assert equal_in_rep(W("t2 t3 t2"), W("t3 t2 t3"), CFG)

@@ -1,4 +1,6 @@
+import keyword
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,6 +11,7 @@ from twistscl.scripts import ScriptSyntaxError, check_script, parse_script
 from twistscl.twists import TwistWord, default_configuration
 from twistscl.words import (
     MAX_PARSED_LETTERS,
+    NAME_PATTERN,
     Word,
     code_of,
     commutator,
@@ -16,6 +19,7 @@ from twistscl.words import (
     encode,
     free_reduce,
     generators,
+    is_name,
     join_all,
     multiply,
     parse_letters,
@@ -426,3 +430,17 @@ def test_refused_input_and_let_names_do_not_grow_the_intern_table():
     parse_word("fresh_accepted fresh_accepted^-2")
     Word.generator("fresh_accepted")
     assert len(words._LETTER) == before + 2 * grows
+
+
+def test_is_name_is_a_full_match_of_the_name_pattern():
+    """The identifier test agrees with NAME_PATTERN on every code point
+    through U+024F, alone and next to a name character, and on non-ASCII
+    identifier characters, keywords and the empty string."""
+    corpus = ["", "\u00e9", "x\u00b2", "\u03b1", "\u01c5", "\u0661", *keyword.kwlist]
+    for point in range(0x250):
+        ch = chr(point)
+        corpus += [ch, "x" + ch, ch + "x", "_" + ch, ch + "_"]
+    for text in corpus:
+        assert is_name(text) == (re.fullmatch(NAME_PATTERN, text) is not None), repr(text)
+    for value in (None, 3, b"x", ("x",), ["x"]):
+        assert not is_name(value)
