@@ -14,16 +14,24 @@ realized as inner automorphisms by powers of the boundary class
 K = z x^-1: the product of the two equals conjugation by K, which is
 exactly what the composite of the three chain twists to the fourth
 power works out to.  The split between the two is a convention.
+
+Each twist T moves some basis letters b to left b right and leaves the
+others alone, with left and right fixed by T, so T^n moves them to
+left^n b right^n for any integer n.  ``evaluate`` folds a word run by
+run on that closed form, at a cost linear in the letters written, and
+refuses images past MAX_IMAGE_LETTERS.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from .twists import CurveConfiguration, TwistWord, default_configuration
 from .words import (
-    Coded, Word, _set_codes, encode, format_letters, name_of, parse_word, substitute_codes,
+    Coded, Codes, Word, _set_codes, encode, format_letters, inverse_letters, join_all, name_of,
+    parse_word, substitute_codes,
 )
 
 BASIS = ("x", "y", "z")
@@ -109,8 +117,7 @@ BOUNDARY_CLASS = parse_word("z x^-1")
 DISPLAYED_EQUALITY = ("t4 t_alpha^-1 t5 t1^-1", "t2^4 t1 t2^-1 t_beta t2^-1 t2^6")
 
 # Each model twist, declared once: the basis letters it moves, each by
-# b -> left b right, where the twist fixes both left and right (it leaves
-# the other letters alone).  So b -> left^-1 b right^-1 is its exact inverse.
+# b -> left b right, with left and right fixed by the twist.
 _ONE, _K = Word.identity(), BOUNDARY_CLASS
 _TWIST_TABLE: dict[str, tuple[tuple[str, ...], Word, Word]] = {
     "a1": (("y",), _ONE, _x),
@@ -120,18 +127,9 @@ _TWIST_TABLE: dict[str, tuple[tuple[str, ...], Word, Word]] = {
     "a5": (BASIS, ~_K, _K),
 }
 
-
-def _moving(moved: tuple[str, ...], left: Word, right: Word) -> Automorphism:
-    return Automorphism({b: left * g * right if b in moved else g
-                         for b, g in zip(BASIS, _GENERATORS)})
-
-
-_TWISTS: dict[str, Automorphism] = {
-    c: _moving(moved, left, right) for c, (moved, left, right) in _TWIST_TABLE.items()
-}
-_TWIST_INVERSES: dict[str, Automorphism] = {
-    c: _moving(moved, ~left, ~right) for c, (moved, left, right) in _TWIST_TABLE.items()
-}
+# Most letters the three basis images of an evaluation may hold in all;
+# a run of twists whose images would pass it is refused before they are built.
+MAX_IMAGE_LETTERS = 10**7
 
 
 class UnknownCurve(KeyError):
@@ -142,43 +140,52 @@ class UnresolvedSymbol(ValueError):
     """A twist word contains a formal mapping symbol with no model."""
 
 
-def twist_automorphism(curve: str, sign: int = 1) -> Automorphism:
-    table = _TWISTS if sign > 0 else _TWIST_INVERSES
-    try:
-        return table[curve]
-    except KeyError:
-        raise UnknownCurve(
-            f"no modeled twist along {curve!r}; model curves are a1..a5"
-        ) from None
+def _power(images: tuple[Codes, ...], curve: str, n: int) -> tuple[Codes, ...]:
+    """The basis images of out T^n, from out's ``images``, for the twist T
+    along ``curve``: each letter b that T moves goes to
+    out(left)^n out(b) out(right)^n, and the others keep their images."""
+    moved, left, right = _TWIST_TABLE[curve]
+    memo = _MEMO.copy()
+    memo[_X], memo[_Y], memo[_Z] = images
+    # |n| copies each of out(left^s) and out(right^s), s the sign of n,
+    # substituted from the short words themselves; an empty end adds none.
+    lead, trail = [(substitute_codes(end if n > 0 else inverse_letters(end), memo),) * abs(n)
+                   if end else () for end in (left._codes, right._codes)]
+    if sum(map(len, images)) + len(moved) * sum(map(len, lead + trail)) > MAX_IMAGE_LETTERS:
+        raise ValueError(f"images would hold more than MAX_IMAGE_LETTERS = "
+                         f"{MAX_IMAGE_LETTERS} letters")
+    return tuple([join_all((*lead, img, *trail)) if b in moved else img
+                  for b, img in zip(BASIS, images)])
+
+
+def twist_automorphism(curve: str, n: int = 1) -> Automorphism:
+    """The n-th power of the twist along ``curve``, for any integer n."""
+    if curve not in _TWIST_TABLE:
+        raise UnknownCurve(f"no modeled twist along {curve!r}; model curves are a1..a5")
+    return Automorphism._raw(_power(_IDENTITY._codes, curve, n))
 
 
 def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Automorphism:
-    """Compose twist automorphisms; the last symbol of ``w`` acts first.
+    """The automorphism of ``w``; the last symbol of ``w`` acts first.
 
-    Twist symbols for defined curves (alpha, beta) are evaluated as their
-    spelling in ``config.expansions``, which names only undefined curves, so
-    this recurses at most one level.  Mapping symbols have no model and raise.
+    Mapping symbols have no model: the first one raises UnresolvedSymbol.
+    Twists about defined curves (alpha, beta) are spelled out through
+    ``config.expansions``, which names only undefined curves, and reduced
+    with the rest of the word.  Each run of n equal symbols t is then one
+    step out -> out T^n read off the twist table, so the cost is linear in
+    the letters written per run.  A run whose images would pass
+    MAX_IMAGE_LETTERS raises ValueError before they are built.
     """
     config = config or default_configuration()
-    out: Optional[Automorphism] = None
-    auts: dict[int, Automorphism] = {}
+    curve_of, expansions = config.curve_of_code, config.expansions
     for c in w._codes:
-        aut = auts.get(c)
-        if aut is None:
-            curve = config.curve_of_code.get(abs(c))
-            if curve is None:
-                raise UnresolvedSymbol(
-                    f"symbol {name_of(c)!r} is not a twist in this configuration"
-                )
-            if curve in config.definitions:
-                aut = evaluate(TwistWord._raw(config.expansions[c]), config)
-            else:
-                aut = twist_automorphism(curve, 1 if c > 0 else -1)
-            auts[c] = aut
-        # The fold starts at the first symbol's automorphism: composing it
-        # with the identity would only copy its images.
-        out = aut if out is None else out.compose(aut)
-    return _IDENTITY if out is None else out
+        if abs(c) not in curve_of:
+            raise UnresolvedSymbol(f"symbol {name_of(c)!r} is not a twist in this configuration")
+    images = _IDENTITY._codes
+    for c, run in groupby(join_all([expansions.get(c) or (c,) for c in w._codes])):
+        n = len(tuple(run))
+        images = _power(images, curve_of[abs(c)], n if c > 0 else -n)
+    return Automorphism._raw(images)
 
 
 def equal_in_rep(

@@ -24,7 +24,9 @@ word and ``name^3`` spells it three times.  A position is an int
 spelled as ``str`` prints it (``@0``, ``@12``, ``@-1``; not ``@+1`` or
 ``@01``).  A script holds at most MAX_SCRIPT_STEPS steps, its bindings
 at most MAX_REPLAY_SYMBOLS symbols in all, and its ``map`` lines at
-most ``twists.MAX_MAPPINGS`` mapping symbols.
+most ``twists.MAX_MAPPINGS`` mapping symbols.  A replay's records and
+the data of its ``conjugate-equation`` steps, which make up the
+conjugator, hold at most MAX_REPLAY_SYMBOLS symbols in all.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ from .twists import (
     _new_tuple,
     apply_step,
 )
-from .words import MAX_PARSED_LETTERS, inverse_letters, is_name, parse_letters
+from .words import MAX_PARSED_LETTERS, free_reduce, inverse_letters, is_name, parse_letters
 
-# Most symbols a replay's records may hold in all, summed over every
-# intermediate word, and most symbols a script's ``let`` bindings may
-# hold in all; a longer replay is refused at the step that passes it,
-# and a script at the ``let`` line that does.
+# Most symbols a replay's records and conjugators may hold in all, summed
+# over every intermediate word and every conjugate-equation step's data,
+# and most symbols a script's ``let`` bindings may hold in all; a longer
+# replay is refused at the step that passes it, and a script at the
+# ``let`` line that does.
 MAX_REPLAY_SYMBOLS = 10**7
 
 # Most steps one script may hold; the step line past it is refused while
@@ -84,13 +87,15 @@ class DerivationReport(NamedTuple):
 def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationReport:
     """Replay a script; accept iff all moves apply and the claim is exact.
 
-    Raises ValueError once the records would hold more than
-    MAX_REPLAY_SYMBOLS symbols.
+    Raises ValueError once the records and the conjugators' data would
+    hold more than MAX_REPLAY_SYMBOLS symbols.
     """
     word: Optional[TwistWord] = script.source
     records: list[StepRecord] = []
     held = 0
-    conjugator = TwistWord()
+    # The reduced conjugator C so far, reversed: a step's D makes it D C, so
+    # D's letters are appended (reversed, not inverted: no new ints).
+    backwards: list[int] = []
     failure: Optional[tuple[int, str]] = None
     for i, step in enumerate(script.steps):
         try:
@@ -99,7 +104,14 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
             word, failure = None, (i, str(err))
             break
         if step.move == "conjugate-equation":
-            conjugator = (TwistWord.parse(step.data, config) * conjugator).reduce()
+            data = TwistWord.parse(step.data, config)._codes
+            held += len(data)
+            data = free_reduce(data)
+            kept = len(data)  # D's letters left once its end cancels C's start
+            while kept and backwards and backwards[-1] == -data[kept - 1]:
+                backwards.pop()
+                kept -= 1
+            backwards += reversed(data[:kept])
         held += len(word._codes)
         if held > MAX_REPLAY_SYMBOLS:
             raise ValueError(f"step {i}: replay holds more than "
@@ -110,7 +122,7 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
             failure = (len(script.steps), f"final word {word} differs from the claim")
     return DerivationReport(
         failure is None, script.source, script.claimed, word, tuple(records),
-        failure, conjugator,
+        failure, TwistWord._raw(tuple(reversed(backwards))),
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 from twistscl import cli, commutators, scripts
 from twistscl.commutators import MAX_EXPANSION_FACTORS
 from twistscl.fibration import MAX_MATRIX_SIZE
+from twistscl.scripts import MAX_REPLAY_SYMBOLS
 from twistscl.words import MAX_PARSED_LETTERS, Word, format_letters
 
 from golden_cases import CASES, SCRIPT_PATH
@@ -144,6 +145,18 @@ def test_check_script_beyond_the_replay_budget_is_refused(tmp_path, monkeypatch)
     long.write_text("let source = t1\n" + "step free-insert @0 t2\n" * 200 + "claim t1\n")
     error = assert_refused(["check-script", str(long)], "check-script")
     assert error == "step 99: replay holds more than MAX_REPLAY_SYMBOLS = 10000 symbols"
+
+
+def test_check_script_conjugator_past_the_replay_budget_is_refused(tmp_path):
+    # 911 bytes whose conjugator would reach t1^12000000 while the word stays 1
+    long = tmp_path / "conjugator.script"
+    long.write_text("let source = 1\n" + "step conjugate-equation @0 t1^500000\n" * 24
+                    + "claim 1\n")
+    assert long.stat().st_size == 911
+    code, output = run_cli(["check-script", str(long), "--json"])
+    assert code == 2
+    assert json.loads(output)["details"]["error"] == (
+        f"step 20: replay holds more than MAX_REPLAY_SYMBOLS = {MAX_REPLAY_SYMBOLS} symbols")
 
 
 # Two `map` declarations no diffeomorphism satisfies, each with a script

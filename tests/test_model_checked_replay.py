@@ -15,7 +15,7 @@ import pytest
 
 from twistscl import cli
 from twistscl.pi1 import evaluate
-from twistscl.scripts import check_script, parse_script
+from twistscl.scripts import ProofScript, check_script, parse_script
 from twistscl.twists import MoveError, Step, TwistWord, apply_step, default_configuration
 
 CFG = default_configuration()
@@ -115,6 +115,39 @@ def test_shipped_script_preserves_the_model_value():
         assert_acts_like_source(record.word, script.source, source_aut)
         checked += 1
     assert checked == len(script.steps) == 20
+
+
+def test_reported_conjugator_carries_the_source_to_the_final_word():
+    """An accepted script certifies final = C source C^-1 for the report's
+    accumulated conjugator C, here checked in the model."""
+    rng = random.Random(21)
+    kinds = MOVES + ("conjugate-equation",) * 3
+    several = 0  # scripts with two conjugations or more
+    for _ in range(80):
+        source = random_source(rng)
+        word, steps = source, []
+        for _ in range(rng.randint(1, 10)):
+            move = rng.choice(kinds)
+            for _ in range(20):
+                if move == "conjugate-equation":
+                    data = " ".join(rng.choice(SYMBOLS) + rng.choice(("", "^-1"))
+                                    for _ in range(rng.randint(1, 2)))
+                    step = Step(move, 0, data)
+                else:
+                    step = random_step(rng, move, word)
+                try:
+                    word = apply_step(word, step, CFG)
+                except MoveError:
+                    continue
+                steps.append(step)
+                break
+        report = check_script(ProofScript(source, tuple(steps), word), CFG)
+        assert report.accepted
+        c = report.conjugator
+        several += sum(step.move == "conjugate-equation" for step in steps) > 1
+        assert evaluate(report.final, CFG) == evaluate(c * source * c.inverse(), CFG), (
+            str(source), [str(step) for step in steps])
+    assert several >= 30
 
 
 # Step data drawn for the position fuzz: valid for some kinds, noise for

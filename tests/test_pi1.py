@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -40,9 +41,9 @@ def test_generator_inverses_restore_basis():
 
 
 def test_each_twist_fixes_the_words_it_moves_letters_by():
-    """The premise of the derived inverses: a twist sends each moved letter
-    b to left b right and fixes left and right, so b -> left^-1 b right^-1
-    undoes it."""
+    """The premise of the closed form: a twist sends each moved letter b to
+    left b right and fixes left and right, so its n-th power sends b to
+    left^n b right^n."""
     for curve, (_, left, right) in pi1._TWIST_TABLE.items():
         aut = twist_automorphism(curve)
         assert aut.apply(left) == left, curve
@@ -140,14 +141,14 @@ def test_mapping_symbols_are_unresolved():
 
 def test_broken_model_fails_validation():
     """Mutation check: silence one twist and watch the braid relation die."""
-    original = pi1._TWISTS["a1"]
+    original = pi1._TWIST_TABLE["a1"]
     try:
-        pi1._TWISTS["a1"] = Automorphism.identity()
+        pi1._TWIST_TABLE["a1"] = ((), Word.identity(), Word.identity())
         report = validate_model(CFG)
         assert not report.passed
         assert any("braid a1,a2" == c.name for c in report.failures())
     finally:
-        pi1._TWISTS["a1"] = original
+        pi1._TWIST_TABLE["a1"] = original
     assert validate_model(CFG).passed
 
 
@@ -203,6 +204,63 @@ def test_evaluate_matches_a_reference_fold():
         assert got == _reference_evaluate(w), str(w)
         assert all(img.letters == Word(img.letters).letters for img in got.images.values())
     assert defined >= 150
+
+
+def test_every_power_of_a_twist_is_the_folded_compose():
+    for curve in pi1._TWIST_TABLE:
+        assert twist_automorphism(curve, 0).is_identity()
+        for n in range(-4, 5):
+            want = Automorphism.identity()
+            for _ in range(abs(n)):
+                want = want.compose(twist_automorphism(curve, 1 if n > 0 else -1))
+            assert twist_automorphism(curve, n) == want, (curve, n)
+
+
+def test_evaluate_matches_the_reference_fold_on_long_runs():
+    rng = random.Random(20261019)
+    symbols = ["t1", "t2", "t3", "t4", "t5", "t_alpha", "t_beta"]
+    defined = runs = 0
+    for _ in range(200):
+        w = []
+        for _ in range(rng.randrange(0, 5)):
+            symbol, size = (rng.choice(symbols), rng.choice((1, -1))), rng.randint(1, 6)
+            w += [symbol] * size
+            runs += size > 1
+        w = TwistWord(w)
+        defined += any(name in ("t_alpha", "t_beta") for name, _ in w.symbols)
+        assert evaluate(w, CFG) == _reference_evaluate(w), str(w)
+    assert defined >= 80 and runs >= 300
+
+
+def test_powers_evaluate_in_closed_form():
+    start = time.perf_counter()
+    aut = evaluate(W("t2^160 t_alpha^160 t1^-160"), CFG)
+    assert time.perf_counter() - start < 3.0
+    assert sum(map(len, aut.images.values())) == 8_449_923
+
+
+def test_images_past_the_letter_budget_are_refused_before_they_are_built(monkeypatch):
+    built = []
+    join_all = pi1.join_all
+
+    def counting(pieces):
+        built.append(join_all(pieces))
+        return built[-1]
+
+    monkeypatch.setattr(pi1, "join_all", counting)
+    with pytest.raises(ValueError, match="MAX_IMAGE_LETTERS = 10000000 letters"):
+        evaluate(W("t2^200 t_alpha^200 t1^-200"), CFG)
+    # only the images before the refused run were built: 203,401 letters
+    assert max(map(len, built)) < 10**6
+
+
+def test_the_letter_budget_counts_the_images_before_they_are_joined(monkeypatch):
+    w = W("t2^160 t_alpha^160 t1^-160")  # 8,502,081 letters before the last join
+    monkeypatch.setattr(pi1, "MAX_IMAGE_LETTERS", 8_502_081)
+    evaluate(w, CFG)
+    monkeypatch.setattr(pi1, "MAX_IMAGE_LETTERS", 8_502_080)
+    with pytest.raises(ValueError, match="MAX_IMAGE_LETTERS = 8502080 letters"):
+        evaluate(w, CFG)
 
 
 def test_evaluate_baseline_image_length():

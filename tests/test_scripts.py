@@ -336,6 +336,46 @@ def test_bindings_past_the_symbol_budget_are_refused_at_that_line(monkeypatch):
                               "MAX_REPLAY_SYMBOLS = 7 symbols")
 
 
+def _conjugations(data: str, steps: int) -> str:
+    return "let source = 1\n" + f"step conjugate-equation @0 {data}\n" * steps + "claim 1\n"
+
+
+def test_conjugator_past_the_symbol_budget_is_refused_at_that_step(monkeypatch):
+    # the records hold nothing; the data of the four steps hold 3 symbols each
+    script, cfg = parse_script(_conjugations("t1^3", 4), CFG)
+    monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 12)
+    report = check_script(script, cfg)
+    assert report.accepted and str(report.conjugator) == "t1^12"
+    monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 11)
+    with pytest.raises(ValueError, match="^step 3: replay holds more than "
+                                         "MAX_REPLAY_SYMBOLS = 11 symbols$"):
+        check_script(script, cfg)
+
+
+def test_many_conjugations_replay_in_linear_time():
+    script, cfg = parse_script(_conjugations("t1", 20_000), CFG)
+    start = time.perf_counter()
+    report = check_script(script, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert report.accepted and report.conjugator == TwistWord([("t1", 1)] * 20_000)
+
+
+def test_conjugator_is_the_reduced_product_of_the_conjugations():
+    rng = random.Random(21)
+    for _ in range(300):
+        source = W("t1 t2")
+        steps = tuple(
+            Step("conjugate-equation", 0, " ".join(
+                rng.choice(("t1", "t2", "t3")) + rng.choice(("", "^-1", "^2"))
+                for _ in range(rng.randint(1, 4))))
+            for _ in range(rng.randint(1, 6)))
+        report = check_script(ProofScript(source, steps, source), CFG)
+        conjugator = TwistWord()
+        for step in steps:
+            conjugator = (W(step.data) * conjugator).reduce()
+        assert report.conjugator == conjugator, steps
+
+
 def test_copied_bindings_past_the_real_symbol_budget_are_refused():
     # 542 bytes whose bindings would hold forty copies of a 10**6-symbol word
     text = ("let b0 = t1^1000000\n" + "".join(f"let b{i} = b0\n" for i in range(1, 40))
