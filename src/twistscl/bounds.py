@@ -17,6 +17,15 @@ SEPARATING = "separating"
 BOUNDS_PUNCTURED_DISC = "bounds-punctured-disc"
 CURVE_KINDS = (NONSEPARATING, SEPARATING, BOUNDS_PUNCTURED_DISC)
 
+# The tenth power of a nonseparating twist is a product of this many
+# commutators, the factor count of ``certificates.tenth_power_certificate``.
+TENTH_POWER_COMMUTATORS = 2
+# Premises of the bound table, after the source paper (arXiv math/0012162),
+# not derived here: a separating twist on closed genus >= 3 has scl <= 3/4;
+# on genus 2, with genus-1 sides, its fifth power is a product of 21 commutators.
+SEPARATING_UPPER_PREMISE = Fraction(3, 4)
+FIFTH_POWER_COMMUTATORS_PREMISE = 21
+
 
 class OutOfHypotheses(ValueError):
     """The requested bound is not covered by any proved statement."""
@@ -80,26 +89,38 @@ def bound_report(spec: SurfaceSpec) -> SclBoundReport:
         g = spec.genus
         if g < 2:
             raise OutOfHypotheses("closed-surface bounds require genus >= 2")
-        # The root of the fibration slope (18g-6)r - 1; the commutator-power
-        # threshold 9g-3 is 1/(2 lower).
-        lower = Fraction(1, 18 * g - 6)
+        # the commutator-power threshold 9g-3 is 1/(2 lower)
+        lower = scl_lower(g)
         threshold = lower.denominator // 2
         if spec.curve == NONSEPARATING:
             # scl is homogeneous: the twist's upper bound is the tenth
             # power's 3/2 over 10, as the tenth power's lower is 10 lower.
-            tenth_upper = Fraction(3, 2)
+            tenth_upper = product_scl_upper(TENTH_POWER_COMMUTATORS)
             if g >= 3:
                 return SclBoundReport("t_a", lower, tenth_upper / 10, threshold, True)
             return SclBoundReport("t_a^10", 10 * lower, tenth_upper, threshold, True)
         if g >= 3:
-            return SclBoundReport("t_a", lower, Fraction(3, 4), threshold, True)
-        # genus 2, both sides of the curve have genus 1
-        return SclBoundReport("t_a^5", None, Fraction(41, 2), threshold, True)
+            return SclBoundReport("t_a", lower, SEPARATING_UPPER_PREMISE, threshold, True)
+        # genus 2, both sides of the curve have genus 1: 41/2
+        upper = product_scl_upper(FIFTH_POWER_COMMUTATORS_PREMISE)
+        return SclBoundReport("t_a^5", None, upper, threshold, True)
     if spec.genus + spec.boundary < 2:
         raise OutOfHypotheses(
             "positivity needs genus + boundary components >= 2"
         )
     return SclBoundReport("t_a^k", None, None, None, True)
+
+
+def scl_lower(g: int) -> Fraction:
+    """1/(18g-6), the root in r of the fibration slope (18g-6)r - 1: a lower
+    bound for scl of a twist on the closed genus-g surface."""
+    return Fraction(1, 18 * g - 6)
+
+
+def product_scl_upper(r: int) -> Fraction:
+    """r - 1/2, the limit of cl_upper(r, k)/k: an upper bound for scl of a
+    product of r commutators."""
+    return Fraction(2 * r - 1, 2)
 
 
 def cl_upper(r: int, k: int) -> int:
@@ -163,4 +184,4 @@ def growth_rate_lower(k_gen: int, spec: SurfaceSpec) -> Fraction:
     if capped_genus < 2:
         raise OutOfHypotheses("growth bound needs genus + boundary components >= 2")
     # the tenth power's bound 10/(18g-6), scaled by 1/(10 k_gen)
-    return Fraction(1, (18 * capped_genus - 6) * k_gen)
+    return scl_lower(capped_genus) / k_gen

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
+from .bounds import scl_lower
+
 Rational = Union[int, Fraction]
 
 LI_PREMISE = "assumed: 2(g-1)(rn-1) <= c1^2 for relatively minimal fibrations"
@@ -103,7 +105,7 @@ def find_contradiction_n(g: int, r: Rational) -> ContradictionSearch:
         raise ValueError("fiber genus must be >= 2")
     if r <= 0:
         raise ValueError("commutator ratio r must be positive")
-    slope = (18 * g - 6) * r - 1
+    slope = r / scl_lower(g) - 1
     if slope >= 0:
         return ContradictionSearch(None, True)
     q = r.denominator

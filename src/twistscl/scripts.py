@@ -9,7 +9,9 @@ certifies  claimed = C * source * C^-1  modulo the registered
 relations, with C the (symbolically reduced) product of the applied
 conjugators; C is empty for value-preserving derivations.
 
-Text format (line oriented, ``#`` starts a comment):
+Text format (a line ends at LF, CR LF or CR, and ``#`` starts a
+comment; the text is scanned once for line ends, but lines are split off
+one at a time, so none past a refused one is built):
 
     map <name> <curve>-><curve> [<curve>-><curve> ...]
     let <name> = <twist word>
@@ -18,20 +20,21 @@ Text format (line oriented, ``#`` starts a comment):
 
 A binding named ``source`` is required.  A bound name passes the
 symbol-name rule (``words.is_name``) and names no twist or mapping
-symbol, so each token means one thing.  Bound names can be used as
-symbols inside later words; ``name^-1`` is the inverse of the bound
-word and ``name^3`` spells it three times.  A position is an int
-spelled as ``str`` prints it (``@0``, ``@12``, ``@-1``; not ``@+1`` or
-``@01``).  A script holds at most MAX_SCRIPT_STEPS steps, its bindings
-at most MAX_REPLAY_SYMBOLS symbols in all, and its ``map`` lines at
-most ``twists.MAX_MAPPINGS`` mapping symbols.  A replay's records and
-the data of its ``conjugate-equation`` steps, which make up the
-conjugator, hold at most MAX_REPLAY_SYMBOLS symbols in all.
+symbol, so each token means one thing.  Later words spell a bound
+name as its word through ``words.parse_letters``, which applies the
+exponent (``name^-1`` is the inverse) and the letter cap.  A position
+is an int spelled as ``str`` prints it (``@0``, ``@12``, ``@-1``; not
+``@+1`` or ``@01``).  A script holds at most MAX_SCRIPT_STEPS steps,
+its bindings at most MAX_REPLAY_SYMBOLS symbols in all, and its ``map``
+lines at most ``twists.MAX_MAPPINGS`` mapping symbols.  A replay's
+records and the data of its ``conjugate-equation`` steps, which make up
+the conjugator, hold at most MAX_REPLAY_SYMBOLS symbols in all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+import io
+from typing import NamedTuple, Optional
 
 from .twists import (
     CurveConfiguration,
@@ -43,7 +46,7 @@ from .twists import (
     _new_tuple,
     apply_step,
 )
-from .words import MAX_PARSED_LETTERS, free_reduce, inverse_letters, is_name, parse_letters
+from .words import Codes, free_reduce, is_name, join_all, parse_letters
 
 # Most symbols a replay's records and conjugators may hold in all, summed
 # over every intermediate word and every conjugate-equation step's data,
@@ -93,9 +96,8 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
     word: Optional[TwistWord] = script.source
     records: list[StepRecord] = []
     held = 0
-    # The reduced conjugator C so far, reversed: a step's D makes it D C, so
-    # D's letters are appended (reversed, not inverted: no new ints).
-    backwards: list[int] = []
+    # Each conjugate-equation step's reduced data D; a step makes C into D C.
+    conjugations: list[Codes] = []
     failure: Optional[tuple[int, str]] = None
     for i, step in enumerate(script.steps):
         try:
@@ -106,12 +108,7 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
         if step.move == "conjugate-equation":
             data = TwistWord.parse(step.data, config)._codes
             held += len(data)
-            data = free_reduce(data)
-            kept = len(data)  # D's letters left once its end cancels C's start
-            while kept and backwards and backwards[-1] == -data[kept - 1]:
-                backwards.pop()
-                kept -= 1
-            backwards += reversed(data[:kept])
+            conjugations.append(free_reduce(data))
         held += len(word._codes)
         if held > MAX_REPLAY_SYMBOLS:
             raise ValueError(f"step {i}: replay holds more than "
@@ -122,7 +119,7 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
             failure = (len(script.steps), f"final word {word} differs from the claim")
     return DerivationReport(
         failure is None, script.source, script.claimed, word, tuple(records),
-        failure, TwistWord._raw(tuple(reversed(backwards))),
+        failure, TwistWord._raw(join_all(reversed(conjugations))),
     )
 
 
@@ -136,47 +133,28 @@ class ScriptSyntaxError(ValueError):
         self.line_no = line_no
 
 
-# Each bound name gets a stand-in code at or above this one when it is bound;
-# no interned name reaches it, so ``let`` names never enter the intern table.
-_FIRST_BOUND_CODE = 1 << 62
-
-
-def _expand_bindings(
-    text: str, code: Callable[[str], int], bound: dict[int, TwistWord], line_no: int
-) -> TwistWord:
-    try:
-        letters = parse_letters(text, code)
-    except ValueError as err:
-        raise ScriptSyntaxError(line_no, str(err)) from None
-    if max(map(abs, letters), default=0) < _FIRST_BOUND_CODE:
-        return TwistWord._raw(tuple(letters))  # no bound name: already capped
-    symbols: list[int] = []
-    for c in letters:
-        word = bound.get(abs(c))
-        if word is None:
-            symbols.append(c)
-        else:
-            symbols.extend(word._codes if c > 0 else inverse_letters(word._codes))
-        if len(symbols) > MAX_PARSED_LETTERS:
-            raise ScriptSyntaxError(line_no, f"word longer than {MAX_PARSED_LETTERS} letters")
-    return TwistWord._raw(tuple(symbols))
-
-
 def parse_script(
     text: str, config: CurveConfiguration
 ) -> tuple[ProofScript, CurveConfiguration]:
     """Parse script text; returns the script and the configuration
     extended by any ``map`` declarations."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # Each bound name's stand-in code, and the word bound to each code.
-    bindings: dict[str, int] = {}
-    bound: dict[int, TwistWord] = {}
+    bindings: dict[str, Codes] = {}  # each bound name's word
     held = 0  # symbols the bindings hold in all
-    # The alphabet of the script's words: the latest ``config``'s plus the bindings.
-    code = lambda name: bindings.get(name) or config.symbol_code(name)
+    # The alphabet of the script's words: the bindings plus the latest
+    # ``config``'s; an empty binding is falsy, so test membership.
+    spell = lambda name: bindings[name] if name in bindings else config.spell(name)
+
+    def parse(word: str) -> Codes:
+        try:
+            return tuple(parse_letters(word, spell))
+        except ValueError as err:
+            raise ScriptSyntaxError(line_no, str(err)) from None
+
     steps: list[Step] = []
     claimed: Optional[TwistWord] = None
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    # Universal newlines (\n, \r\n, \r) and no others: str.splitlines would
+    # also break at \x0b, \x1c and \x85, which split() reads as spaces.
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         # The line is stripped once: split(None) skips the whitespace
         # between fields, and data ends where the line does.
         line = raw.partition("#")[0].strip()
@@ -227,24 +205,22 @@ def parse_script(
                 raise ScriptSyntaxError(line_no, f"binding name {name!r} is not an identifier")
             if name in config.curve_of_twist or name in config.mappings:
                 raise ScriptSyntaxError(line_no, f"symbol name {name!r} already in use")
-            word = _expand_bindings(body.strip(), code, bound, line_no)
-            held += len(word._codes)
+            word = bindings[name] = parse(body)
+            held += len(word)
             if held > MAX_REPLAY_SYMBOLS:
                 raise ScriptSyntaxError(line_no, "bindings hold more than "
                                         f"MAX_REPLAY_SYMBOLS = {MAX_REPLAY_SYMBOLS} symbols")
-            bindings[name] = c = _FIRST_BOUND_CODE + len(bindings)
-            bound[c] = word
         elif head == "claim":
             if claimed is not None:
                 raise ScriptSyntaxError(line_no, "duplicate claim")
-            claimed = _expand_bindings(rest, code, bound, line_no)
+            claimed = TwistWord._raw(parse(rest))
         else:
             raise ScriptSyntaxError(line_no, f"unknown directive {head!r}")
     if "source" not in bindings:
         raise ScriptSyntaxError(0, "script must bind `source`")
     if claimed is None:
         raise ScriptSyntaxError(0, "script must end with a claim")
-    return ProofScript(bound[bindings["source"]], tuple(steps), claimed), config
+    return ProofScript(TwistWord._raw(bindings["source"]), tuple(steps), claimed), config
 
 
 def serialize_script(

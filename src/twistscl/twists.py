@@ -69,7 +69,7 @@ class TwistWord(CodedWord):
     @classmethod
     def parse(cls, text: str, config: "CurveConfiguration") -> "TwistWord":
         """Parse ``"t1 t2^-3 g"`` against the configuration's alphabet."""
-        return cls._raw(tuple(parse_letters(text, config.symbol_code)))
+        return cls._raw(tuple(parse_letters(text, config.spell)))
 
     def inverse(self) -> "TwistWord":
         return TwistWord._raw(inverse_letters(self._codes))
@@ -235,12 +235,12 @@ class CurveConfiguration:
     def word(self, text: str) -> TwistWord:
         return TwistWord.parse(text, self)
 
-    def symbol_code(self, name: str) -> int:
-        """The alphabet: the code of a twist or declared mapping symbol."""
+    def spell(self, name: str) -> Codes:
+        """The alphabet: a twist or declared mapping symbol's one code."""
         code = self._code_of_symbol.get(name)
         if code is None:
             raise ValueError(f"unknown symbol {name!r}")
-        return code
+        return (code,)
 
 
 @cache
@@ -292,7 +292,7 @@ class Step(NamedTuple):
 def _step_letters(step: Step, config: CurveConfiguration) -> list[int]:
     """A step's data spelled out over the configuration's alphabet."""
     try:
-        return parse_letters(step.data, config.symbol_code)
+        return parse_letters(step.data, config.spell)
     except ValueError as err:
         raise MoveError(step.position, str(err)) from None
 

@@ -23,10 +23,10 @@ interned: an ASCII identifier (NAME_PATTERN), so it prints as one token
 that reads back as itself, never as the identity's ``1``.  ``encode``,
 which constructors and configurations use, checks a whole word's new
 names first, so a bad name or sign is refused with ValueError before any
-name of the word is interned.  ``parse_letters`` codes a name only once
-the caller's alphabet has accepted it, so refused tokens and unknown
-symbols never enter, and neither do a proof script's ``let`` names,
-which are spelled out before they could become letters.  So the table
+name of the word is interned.  ``parse_letters`` codes no name itself:
+the caller's alphabet spells each name it accepts as codes, so refused
+tokens and unknown symbols never enter, and neither do a proof script's
+``let`` names, which its alphabet spells as their bound words.  So the table
 holds at most the distinct accepted names the process has read: a few
 dozen for the library's own alphabets, plus the 2r generators of the
 largest Bavard expansion built.
@@ -185,21 +185,23 @@ def format_letters(codes: Sequence[int]) -> str:
     return " ".join(parts) or "1"
 
 
-def parse_letters(text: str, code: Callable[[str], int]) -> list[int]:
+def parse_letters(text: str, spell: Callable[[str], Codes]) -> list[int]:
     """Spell out a whitespace-separated word like ``"x y^-2 z"``, unreduced.
 
-    Each token is a name with an optional nonzero ``^<int>`` exponent;
-    ``code`` is the caller's alphabet: it returns a name's positive code
-    and raises ValueError for a name outside the alphabet.  ``"1"`` alone
-    denotes the empty word.  A word longer than MAX_PARSED_LETTERS is
-    refused before it is spelled out.  Each distinct token is split and
-    coded once per call; the length cap is checked at every token.
+    Each token is a name with an optional nonzero ``^<int>`` exponent (a
+    negative one inverts); ``spell``, the caller's alphabet, returns a
+    name's codes (one for a symbol, a whole word for a proof script's
+    ``let`` name) or raises ValueError.  ``"1"`` alone denotes the empty
+    word.  Each distinct token is spelled once per call.  At the token
+    where the letters, or the exponents' sizes summed, pass
+    MAX_PARSED_LETTERS, the word is refused before that token is built.
     """
     text = text.strip()
     if text in ("", "1"):
         return []
     letters: list[int] = []
-    seen: dict[str, tuple[int, int]] = {}
+    powers, cap = 0, MAX_PARSED_LETTERS  # the exponents' sizes summed, and the cap
+    seen: dict[str, tuple[Optional[Codes], int]] = {}  # each distinct token's letters and power
     for token in text.split():
         parsed = seen.get(token)
         if parsed is None:
@@ -212,15 +214,16 @@ def parse_letters(text: str, code: Callable[[str], int]) -> list[int]:
                 raise ValueError(f"malformed exponent in token {token!r}") from None
             if exp == 0:
                 raise ValueError(f"zero exponent in token {token!r}")
-            c = code(name)
-            parsed = seen[token] = (c if exp > 0 else -c, abs(exp))
-        letter, count = parsed
-        if len(letters) + count > MAX_PARSED_LETTERS:
-            raise ValueError(f"word longer than {MAX_PARSED_LETTERS} letters at {token!r}")
-        if count == 1:
-            letters.append(letter)
-        else:
-            letters.extend([letter] * count)
+            codes, n = spell(name), abs(exp)
+            # a token is spelled out only if it fits under the cap
+            fits = powers + n <= cap and len(letters) + n * len(codes) <= cap
+            piece = (codes if exp > 0 else inverse_letters(codes)) * n if fits else None
+            parsed = seen[token] = (piece, n)
+        piece, n = parsed
+        powers += n
+        if piece is None or powers > cap or len(letters) + len(piece) > cap:
+            raise ValueError(f"word longer than {cap} letters at {token!r}")
+        letters += piece
     return letters
 
 
@@ -341,7 +344,7 @@ def parse_word(text: str) -> Word:
     Each token is a generator name with an optional ``^<int>`` exponent.
     ``"1"`` (alone) denotes the identity.
     """
-    return Word._raw(free_reduce(parse_letters(text, code_of)))
+    return Word._raw(free_reduce(parse_letters(text, lambda name: (code_of(name),))))
 
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:

@@ -4,11 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from twistscl.bounds import (
+    FIFTH_POWER_COMMUTATORS_PREMISE,
+    TENTH_POWER_COMMUTATORS,
     OutOfHypotheses,
     SurfaceSpec,
     bound_report,
     cl_upper,
     growth_rate_lower,
+    product_scl_upper,
     scl_from_counts,
 )
 from twistscl.certificates import tenth_power_certificate
@@ -107,6 +110,11 @@ def test_cl_upper_examples():
     # stabilized count for the fifth power: cl_upper(21, k)/k tends to 41/2
     assert F(cl_upper(21, 100), 100) == F(41, 2) + F(1, 100)
     assert min(F(cl_upper(21, k), k) for k in range(1, 201)) > F(41, 2)
+    # r - 1/2 is that limit for every r: cl_upper(r, k)/k = r - 1/2 + 1/k at even k
+    for r in range(1, 30):
+        assert all(F(cl_upper(r, k), k) == product_scl_upper(r) + F(1, k)
+                   for k in range(2, 60, 2)), r
+    assert product_scl_upper(FIFTH_POWER_COMMUTATORS_PREMISE) == F(41, 2)
     with pytest.raises(ValueError):
         cl_upper(0, 1)
     with pytest.raises(ValueError):
@@ -181,7 +189,7 @@ def test_nonseparating_upper_bound_is_read_off_the_tenth_power_certificate():
     """A product of r commutators has scl at most r - 1/2; the tenth-power
     certificate writes t^10 as r of them, so scl(t) <= (r - 1/2)/10."""
     r = len(tenth_power_certificate().expression.factors)
-    assert r == 2
+    assert r == TENTH_POWER_COMMUTATORS == 2
     for g in range(3, 21):
         assert bound_report(SurfaceSpec(g)).upper == (r - F(1, 2)) / 10, g
     assert bound_report(SurfaceSpec(2)).upper == r - F(1, 2)  # bounds t_a^10

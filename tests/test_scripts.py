@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
+import json
 import random
 import time
+import tracemalloc
 from importlib import resources
 
 import pytest
 
-from twistscl import scripts, twists
+from twistscl import cli, scripts, twists, words
 from twistscl.scripts import (
     MAX_REPLAY_SYMBOLS,
     MAX_SCRIPT_STEPS,
@@ -389,6 +393,80 @@ def test_copied_bindings_past_the_real_symbol_budget_are_refused():
     assert "bindings hold more than" in str(err.value)
 
 
+def test_empty_bindings_spell_the_empty_word_at_every_power():
+    for empty in ("let u = 1", "let u ="):
+        text = f"{empty}\nlet source = t1 u^3 t2 u^-1 u\nclaim t1 u^-2 t2\n"
+        script, _ = parse_script(text, CFG)
+        assert script.source == W("t1 t2") and script.claimed == W("t1 t2")
+        # a power of an empty name still counts toward the letter cap, so a
+        # huge one is refused, not built
+        text = f"{empty}\nlet source = u^{MAX_PARSED_LETTERS}\nclaim 1\n"
+        assert parse_script(text, CFG)[0].source == W("1")
+        for word, token in ((f"u^{MAX_PARSED_LETTERS + 1}",) * 2, ("u^9223372036854775808",) * 2,
+                            ("u^-9223372036854775808",) * 2, ("u^600000 u^600000", "u^600000"),
+                            ("t1^600000 u^-400001", "u^-400001")):
+            with pytest.raises(ScriptSyntaxError) as err:
+                parse_script(f"{empty}\nlet source = {word}\nclaim 1\n", CFG)
+            assert str(err.value) == f"line 2: word longer than {MAX_PARSED_LETTERS} letters at {token!r}"
+
+
+def test_bound_word_past_the_letter_cap_is_refused_before_it_is_built(monkeypatch):
+    text = "let a = t1 t2\nlet source = a^600000\nclaim t1\n"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse_script(text, CFG)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"line 2: word longer than {MAX_PARSED_LETTERS} letters at 'a^600000'"
+    assert elapsed < 0.5 and peak < 10**6  # 1.2M codes would take ~10 MB
+    # at a small cap: exactly the cap is read, one letter past it is refused
+    monkeypatch.setattr(words, "MAX_PARSED_LETTERS", 10)
+    script, _ = parse_script("let a = t1 t2\nlet source = a^-5\nclaim 1\n", CFG)
+    assert script.source == W("t2^-1 t1^-1 " * 5)
+    for word, token in (("a^5 t3", "t3"), ("a^6", "a^6"), ("t3 a^-5", "a^-5")):
+        with pytest.raises(ScriptSyntaxError) as err:
+            parse_script(f"let a = t1 t2\nlet source = {word}\nclaim 1\n", CFG)
+        assert str(err.value) == f"line 2: word longer than 10 letters at {token!r}"
+
+
+def test_bound_names_never_enter_the_intern_table():
+    name = "fresh_bound_name_never_coded"
+    text = f"let {name} = t1 t2\nlet source = {name}^2 {name}^-1\nclaim {name}\n"
+    script, _ = parse_script(text, CFG)
+    assert script.source == W("t1 t2 t1 t2 t2^-1 t1^-1") and script.claimed == W("t1 t2")
+    assert (name, 1) not in words._CODE and (name, -1) not in words._CODE
+
+
+def test_bound_words_spell_as_their_powers_and_inverses():
+    """Each use ``name^e`` of a binding spells the bound word e times, or
+    its inverse -e times, also for bindings built from bindings."""
+    rng = random.Random(2022)
+    symbols = ("t1", "t2", "t3", "t_alpha")
+    for _ in range(300):
+        lines, bound = [], {}
+        for i in range(rng.randint(1, 4)):
+            tokens, word = [], TwistWord()
+            for _ in range(rng.randint(0, 4)):
+                name = rng.choice(symbols + tuple(bound))
+                exp = rng.choice((1, 1, 2, 3, -1, -2))
+                spelling = rng.choice((f"{name}^{exp}",) + ((name, f"{name}^+1") if exp == 1 else ()))
+                tokens.append(spelling)
+                base = bound[name] if name in bound else W(name)
+                for _ in range(abs(exp)):
+                    word = word * (base if exp > 0 else base.inverse())
+            lines.append(f"let b{i} = {' '.join(tokens) or '1'}")
+            bound[f"b{i}"] = word
+        last = f"b{len(bound) - 1}"
+        text = "\n".join(lines) + f"\nlet source = {last}^-1\nclaim {last}^2\n"
+        script, _ = parse_script(text, CFG)
+        assert script.source == bound[last].inverse(), text
+        assert script.claimed == bound[last] * bound[last], text
+
+
 # ---------------------------------------------------------------------------
 # how a line is read, pinned over a corpus of unusual spellings
 # ---------------------------------------------------------------------------
@@ -463,6 +541,82 @@ def test_parse_script_reads_unusual_spellings_as_pinned():
     assert 200 < accepted < 400
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "06f96f5d6607fabe43f8dbf5bba92e88db3605b2fa2bffb6ad7e26a1ac76efb7"
+
+
+# ---------------------------------------------------------------------------
+# a seeded grammar fuzz of check-script
+# ---------------------------------------------------------------------------
+
+_STRAY = ("\r", "\r\n", "\n", "\xa0", "\x0b", "\x85", "\x00", " ", "\t", "#", "^", "@", "=",
+          "->", "-", "1", "t", "\u03b1", "\uff13", "\ufeff")
+_EXPONENTS = ("", "^", "^x", "^0", "^1", "^-1", "^2", "^-3", "^+2", "^007", "^1_0",
+              f"^{MAX_PARSED_LETTERS + 1}", "^-100000", "^9223372036854775808", "^\u0663")
+_FUZZ_POSITIONS = _POSITIONS[0] + _POSITIONS[1] + ("@100", "@99999999999")
+
+
+def _mutated_script(rng) -> bytes:
+    """The shipped script or a corpus script after one to four random
+    edits of its lines, tokens, exponents, positions and bytes."""
+    text = shipped_text() if rng.random() < 0.5 else _spelled_script(rng)
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        tokens = lines[i].split(" ")
+        k = rng.randrange(len(tokens))
+        edit = rng.randrange(9)
+        if edit == 0:
+            del lines[i]
+        elif edit == 1:
+            lines.insert(j, lines[i])
+        elif edit == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == 3:
+            del tokens[k]
+        elif edit == 4:
+            tokens.insert(rng.randrange(len(tokens) + 1), tokens[k])
+        elif edit == 5:
+            l = rng.randrange(len(tokens))
+            tokens[k], tokens[l] = tokens[l], tokens[k]
+        elif edit == 6:
+            tokens[k] = tokens[k].partition("^")[0] + rng.choice(_EXPONENTS)
+        elif edit == 7:
+            tokens[k] = rng.choice(_FUZZ_POSITIONS) if tokens[k].startswith("@") else (
+                tokens[k] + rng.choice(_FUZZ_POSITIONS))
+        else:
+            at = rng.randrange(len(tokens[k]) + 1)
+            tokens[k] = tokens[k][:at] + rng.choice(_STRAY) + tokens[k][at:]
+        if edit >= 3:
+            lines[i] = " ".join(tokens)
+        if not lines:
+            lines = [""]
+    data = "\n".join(lines).encode()
+    if rng.random() < 0.05:  # a byte that is not UTF-8
+        at = rng.randrange(len(data) + 1)
+        data = data[:at] + rng.choice((b"\xff", b"\xc3", b"\x80")) + data[at:]
+    return data
+
+
+def test_check_script_survives_a_seeded_grammar_fuzz(tmp_path):
+    """Mutated scripts end in exit 0, 1 or 2 with one JSON report line
+    whose status matches the exit code, never in a traceback, and each
+    within a time bound."""
+    rng = random.Random(2222)
+    path = tmp_path / "fuzz.script"
+    codes, slowest = [], 0.0
+    for _ in range(300):
+        path.write_bytes(_mutated_script(rng))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["check-script", str(path), "--json"])
+        slowest = max(slowest, time.perf_counter() - start)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, path.read_bytes()
+        status = json.loads(lines[0])["status"]
+        assert (status, code) in (("ok", 0), ("fail", 1), ("refused", 2)), path.read_bytes()
+        codes.append(code)
+    assert slowest < 0.5
+    assert all(codes.count(code) >= 10 for code in (0, 1, 2)), sorted(codes)
 
 
 def test_fast_built_tuples_keep_their_public_types():

@@ -303,7 +303,7 @@ def test_configuration_repr_and_equality_show_only_public_fields():
 
 def test_default_configuration_is_one_shared_instance():
     assert default_configuration() is default_configuration() is CFG
-    t_alpha_inverse = -CFG.symbol_code("t_alpha")
+    t_alpha_inverse = -CFG.spell("t_alpha")[0]
     assert CFG.expansions[t_alpha_inverse] == W("t2 t2 t3^-1 t2^-1 t2^-1")._codes
 
 
@@ -485,4 +485,4 @@ def test_step_data_for_odd_mapping_names_is_read_as_the_parser_reads_it():
         with pytest.raises(ValueError, match="is not an identifier"):
             CFG.with_mapping(MappingSymbol(name, (("a1", "a2"),)))
     for token, code in CFG_G._code_of_token.items():
-        assert parse_letters(token, CFG_G.symbol_code) == [code]
+        assert parse_letters(token, CFG_G.spell) == [code]

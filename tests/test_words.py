@@ -324,7 +324,7 @@ def _checker(alphabet, seen):
         seen.append(name)
         if name not in alphabet:
             raise ValueError(f"unknown symbol {name!r}")
-        return code_of(name)
+        return (code_of(name),)
     return code
 
 
