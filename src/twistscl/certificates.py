@@ -87,14 +87,11 @@ def four_twist_commutator(
         )
     tw = config.twist_of_curve
     target = TwistWord([(tw[a], 1), (tw[b], -1), (tw[c], 1), (tw[d], -1)])
-    factor = CommutatorFactor(
-        TwistWord(),
-        TwistWord([(tw[a], 1), (tw[b], -1)]),
-        TwistWord([(mapping.name, 1)]),
-    )
+    m = TwistWord([(mapping.name, 1)])
+    factor = CommutatorFactor(TwistWord(), TwistWord([(tw[a], 1), (tw[b], -1)]), m)
     expr = TwistCommutatorExpression((factor,), target)
     steps = (
-        Step("free-insert", 4, f"{mapping.name}^-1"),
+        Step("free-insert", 4, str(m.inverse())),
         Step("twist-naturality", 2, mapping.name),
         Step("twist-naturality", 3, mapping.name),
     )

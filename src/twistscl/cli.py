@@ -22,7 +22,7 @@ from . import fibration
 from .commutators import ExpansionNotFound, _admit, bavard_expand, culler_expand
 from .certificates import boundary_pair_script, tenth_power_certificate
 from .pi1 import DISPLAYED_EQUALITY, equal_in_rep, validate_model
-from .scripts import check_script, parse_script
+from .scripts import check_script, parse_script, read_lines
 from .twists import default_configuration
 from .words import Word
 
@@ -128,8 +128,7 @@ def _cmd_verify(args) -> _Outcome:
 
 def _cmd_check_script(args) -> _Outcome:
     with open(args.file, encoding="utf-8") as f:
-        text = f.read()
-    script, cfg = parse_script(text, default_configuration())
+        script, cfg = parse_script(read_lines(f), default_configuration())
     report = check_script(script, cfg)
     details: dict[str, Any] = {
         "file": args.file,

@@ -10,8 +10,7 @@ relations, with C the (symbolically reduced) product of the applied
 conjugators; C is empty for value-preserving derivations.
 
 Text format (a line ends at LF, CR LF or CR, and ``#`` starts a
-comment; the text is scanned once for line ends, but lines are split off
-one at a time, so none past a refused one is built):
+comment):
 
     map <name> <curve>-><curve> [<curve>-><curve> ...]
     let <name> = <twist word>
@@ -29,12 +28,15 @@ its bindings at most MAX_REPLAY_SYMBOLS symbols in all, and its ``map``
 lines at most ``twists.MAX_MAPPINGS`` mapping symbols.  A replay's
 records and the data of its ``conjugate-equation`` steps, which make up
 the conjugator, hold at most MAX_REPLAY_SYMBOLS symbols in all.
+``parse_script`` reads the text, or a file's ``read_lines``, one line at
+a time, so no line past a refused one is read, and a file past
+MAX_SCRIPT_CHARS characters is refused without reading further.
 """
 
 from __future__ import annotations
 
 import io
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .twists import (
     CurveConfiguration,
@@ -58,6 +60,12 @@ MAX_REPLAY_SYMBOLS = 10**7
 # Most steps one script may hold; the step line past it is refused while
 # parsing, before its step is built.
 MAX_SCRIPT_STEPS = 10**5
+
+# Most characters ``read_lines`` reads from one file, which may never end
+# (``/dev/zero`` is one endless line) and whose blank lines no other budget
+# counts: room for MAX_SCRIPT_STEPS step lines of 40 characters, and 2**22
+# blank lines, the slowest input, are refused in 1-2 s (2-vCPU VM).
+MAX_SCRIPT_CHARS = 2**22
 
 _MOVE_KINDS = frozenset(MOVE_KINDS)
 
@@ -133,11 +141,22 @@ class ScriptSyntaxError(ValueError):
         self.line_no = line_no
 
 
+def read_lines(file: TextIO) -> Iterator[str]:
+    """An open script file's lines, each read as the parser asks for it;
+    the read stops one character past MAX_SCRIPT_CHARS with ValueError."""
+    left = MAX_SCRIPT_CHARS
+    while line := file.readline(left + 1):
+        left -= len(line)
+        if left < 0:
+            raise ValueError(f"more than MAX_SCRIPT_CHARS = {MAX_SCRIPT_CHARS} characters")
+        yield line
+
+
 def parse_script(
-    text: str, config: CurveConfiguration
+    text: str | Iterable[str], config: CurveConfiguration
 ) -> tuple[ProofScript, CurveConfiguration]:
-    """Parse script text; returns the script and the configuration
-    extended by any ``map`` declarations."""
+    """Parse script text, or its lines as a text file yields them; returns
+    the script and the configuration extended by any ``map`` declarations."""
     bindings: dict[str, Codes] = {}  # each bound name's word
     held = 0  # symbols the bindings hold in all
     # The alphabet of the script's words: the bindings plus the latest
@@ -154,7 +173,8 @@ def parse_script(
     claimed: Optional[TwistWord] = None
     # Universal newlines (\n, \r\n, \r) and no others: str.splitlines would
     # also break at \x0b, \x1c and \x85, which split() reads as spaces.
-    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+    lines = io.StringIO(text, newline=None) if isinstance(text, str) else text
+    for line_no, raw in enumerate(lines, start=1):
         # The line is stripped once: split(None) skips the whitespace
         # between fields, and data ends where the line does.
         line = raw.partition("#")[0].strip()

@@ -21,6 +21,7 @@ from .words import (
     CodedWord,
     Letter,
     _set_codes,
+    code_of_token,
     decode,
     encode,
     format_letters,
@@ -30,6 +31,7 @@ from .words import (
     join_reduced,
     name_of,
     parse_letters,
+    token_of,
 )
 
 # Most mapping symbols one configuration may declare (the paper needs two);
@@ -139,8 +141,6 @@ class CurveConfiguration:
     # both read it.
     expansions: dict[int, Codes] = field(init=False, repr=False, compare=False)
     _chain_sides: tuple[tuple[Codes, Codes], ...] = field(init=False, repr=False, compare=False)
-    _code_of_token: dict[str, int] = field(init=False, repr=False, compare=False)
-    _token_of_code: dict[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.mappings) > MAX_MAPPINGS:
@@ -203,15 +203,6 @@ class CurveConfiguration:
             l, r = left._codes, right._codes
             li, ri = inverse_letters(l), inverse_letters(r)
             chain_sides += ((l, r), (r, l), (li, ri), (ri, li))
-        # Each symbol's spellings as step data, both ways (what
-        # format_letters prints for one letter, and what parse_letters
-        # reads as exactly that letter).
-        code_of_token, token_of_code = {}, {}
-        for name, c in code.items():
-            inverted = token_of_code[-c] = f"{name}^-1"
-            token_of_code[c] = name
-            code_of_token[name] = code_of_token[f"{name}^1"] = c
-            code_of_token[inverted] = -c
         for attr, value in (
             ("curves", curves), ("curve_of_twist", curve_of_twist),
             ("curve_of_code", {c: curve for curve, c in twist_code.items()}),
@@ -219,7 +210,6 @@ class CurveConfiguration:
             ("_pair_kind", {(twist_code[c1], twist_code[c2]): kind
                             for (c1, c2), kind in pair_kind.items()}),
             ("expansions", expansions), ("_chain_sides", chain_sides),
-            ("_code_of_token", code_of_token), ("_token_of_code", token_of_code),
         ):
             object.__setattr__(self, attr, value)
 
@@ -299,8 +289,8 @@ def _step_letters(step: Step, config: CurveConfiguration) -> list[int]:
 
 def _step_symbol(step: Step, config: CurveConfiguration) -> int:
     """The one symbol, with exponent +-1, that a step's data names."""
-    code = config._code_of_token.get(step.data)
-    if code is not None:
+    code = code_of_token(step.data)
+    if code is not None and name_of(code) in config._code_of_symbol:
         return code
     letters = _step_letters(step, config)
     if len(letters) != 1:
@@ -352,8 +342,7 @@ def _free_cancel(syms, step, config) -> _Rewrite:
     if a != -b:
         shown_a, shown_b = decode((a, b))
         raise PatternMismatch(p, f"{shown_a} {shown_b} is not an inverse pair")
-    spelling = config._token_of_code.get(a) or format_letters((a,))
-    return syms[:p] + syms[p + 2 :], _new_tuple(Step, ("free-insert", p, spelling))
+    return syms[:p] + syms[p + 2 :], _new_tuple(Step, ("free-insert", p, token_of(a)))
 
 
 # braid and commute keep the word's length, so they swap the matched
@@ -426,7 +415,7 @@ def _twist_naturality(syms, step, config) -> _Rewrite:
         # undone by expanding with the mapping symbol found here
         first, mid, last = _window(syms, step, 3)
         if last != -first:
-            raise PatternMismatch(p, f"need {mname} ... {mname}^-1 around a twist")
+            raise PatternMismatch(p, f"need {mname} ... {token_of(-code)} around a twist")
         curve = config.curve_of_code.get(abs(mid))
         if curve is None:
             raise PatternMismatch(p, f"{name_of(mid)!r} is not a twist symbol")
@@ -436,7 +425,7 @@ def _twist_naturality(syms, step, config) -> _Rewrite:
                 p, f"mapping {mname!r} does not determine the image of {curve!r}"
             )
         out = syms[:p] + (_twist_code(config, target, 1 if mid > 0 else -1),) + syms[p + 3 :]
-        return out, Step(step.move, p, format_letters(syms[p : p + 1]))
+        return out, Step(step.move, p, token_of(first))
     if p < len(syms) and abs(syms[p]) in config.curve_of_code:
         # expand  t_d -> m^s t_{m^-s(d)} m^-s  (data m^s);
         # undone by collapsing, which reads the direction off the word

@@ -17,7 +17,12 @@ letters, decoded afresh on every read, and its printing; ``Word`` and
 ``TwistWord`` add only their algebra.
 
 The intern table only grows, by one entry per distinct name that an
-alphabet has accepted.  Every name enters through ``code_of``, which
+alphabet has accepted, and an entry holds its letters' one-token
+spellings, so only this module knows the token format: ``token_of``
+gives the token a lone letter prints as (``name`` or ``name^-1``), and
+``code_of_token`` the letter that ``name``, ``name^1`` or ``name^-1``
+spells, or None for any other token (``name^+1``), which only
+``parse_letters`` reads.  Every name enters through ``code_of``, which
 applies the one symbol-name rule, ``is_name``, to a name not yet
 interned: an ASCII identifier (NAME_PATTERN), so it prints as one token
 that reads back as itself, never as the identity's ``1``.  ``encode``,
@@ -51,9 +56,13 @@ Codes = tuple[int, ...]
 MAX_PARSED_LETTERS = 10**6
 
 # The intern table, both ways: ``_CODE[name, sign]`` is a letter's code
-# and ``_LETTER[code]`` its ``(name, sign)``.
+# and ``_LETTER[code]`` its ``(name, sign)``; ``_TOKEN[code]`` is its
+# printed token, and ``_CODE_OF_TOKEN`` reads its one-letter tokens back.
 _CODE: dict[Letter, int] = {}
 _LETTER: dict[int, Letter] = {}
+_TOKEN: dict[int, str] = {}
+_CODE_OF_TOKEN: dict[str, int] = {}
+token_of, code_of_token = _TOKEN.__getitem__, _CODE_OF_TOKEN.get
 
 # The symbol-name rule that ``is_name`` checks, spelled out for messages.
 NAME_PATTERN = "[A-Za-z_][A-Za-z0-9_]*"
@@ -66,9 +75,10 @@ def code_of(name: str) -> int:
     if code is None:
         _check_name(name)
         code = len(_LETTER) // 2 + 1
-        for sign in (1, -1):
-            _CODE[name, sign] = sign * code
-            _LETTER[sign * code] = (name, sign)
+        for sign, token in ((1, name), (-1, f"{name}^-1")):
+            _CODE[name, sign] = _CODE_OF_TOKEN[token] = sign * code
+            _LETTER[sign * code], _TOKEN[sign * code] = (name, sign), token
+        _CODE_OF_TOKEN[f"{name}^1"] = code
     return code
 
 
@@ -171,7 +181,8 @@ def substitute_codes(codes: Sequence[int], images: list | dict[int, Optional[Cod
 
 
 def format_letters(codes: Sequence[int]) -> str:
-    """Print runs of equal letters as ``name^exp``; ``"1"`` when empty."""
+    """Print a run of equal letters as ``name^exp`` and a lone letter as its
+    token; ``"1"`` when empty."""
     parts, i, n = [], 0, len(codes)
     while i < n:
         c = codes[i]
@@ -179,8 +190,7 @@ def format_letters(codes: Sequence[int]) -> str:
         while j < n and codes[j] == c:
             j += 1
         exp = j - i if c > 0 else i - j
-        name = _LETTER[c][0]
-        parts.append(name if exp == 1 else f"{name}^{exp}")
+        parts.append(_TOKEN[c] if j == i + 1 else f"{_LETTER[c][0]}^{exp}")
         i = j
     return " ".join(parts) or "1"
 

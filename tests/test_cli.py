@@ -138,6 +138,23 @@ def test_check_script_huge_exponent_is_refused(tmp_path):
     assert_refused(["check-script", str(bad)], "check-script")
 
 
+def test_check_script_file_past_the_character_budget_is_refused(tmp_path, monkeypatch):
+    text = "let source = t1\nclaim t1\n"
+    monkeypatch.setattr(scripts, "MAX_SCRIPT_CHARS", len(text))
+    script = tmp_path / "budget.script"
+    script.write_text(text)
+    assert run_cli(["check-script", str(script)])[0] == 0
+    script.write_text(text + "\n")
+    error = assert_refused(["check-script", str(script)], "check-script")
+    assert error == f"more than MAX_SCRIPT_CHARS = {len(text)} characters"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_check_script_of_an_endless_file_is_refused():
+    error = assert_refused(["check-script", "/dev/zero"], "check-script")
+    assert error == f"more than MAX_SCRIPT_CHARS = {scripts.MAX_SCRIPT_CHARS} characters"
+
+
 def test_check_script_beyond_the_replay_budget_is_refused(tmp_path, monkeypatch):
     # records hold 3 + 5 + ... symbols: 9999 after step 98, 10200 after step 99
     monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 10_000)

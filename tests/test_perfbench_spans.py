@@ -1,9 +1,11 @@
-"""Every span the benchmark's tracer shims must exist in the library.
+"""Every span the benchmark's tracer shims must exist in the library,
+and the move spans must see replay and inversion.
 
 ``perfbench/tracer.py`` reports a target it cannot find as absent and
 drops the metrics built on it, so a rename in ``twistscl`` would quietly
-empty those metrics.  This loads the tracer from its file (``perfbench/``
-is not a package on the path) and installs it on the whole package.
+empty those metrics, and so would a replay routed around a traced entry
+point.  This loads the tracer from its file (``perfbench/`` is not a
+package on the path) and installs it on the whole package.
 """
 
 import importlib.util
@@ -33,3 +35,18 @@ def test_every_traced_span_exists():
     finally:
         trace.uninstall()
     assert twistscl.twists.apply_step is before
+
+
+def test_replay_and_inversion_record_their_move_spans():
+    tracer = _load_tracer()
+    trace = tracer.Tracer()
+    config = twistscl.twists.default_configuration()
+    script = twistscl.certificates.boundary_pair_script(config)
+    trace.install(twistscl)
+    try:
+        assert twistscl.scripts.check_script(script, config).accepted
+        twistscl.twists.invert_steps(script.source, script.steps, config)
+    finally:
+        trace.uninstall()
+    assert trace.spans["twists.apply_step"][0] == len(script.steps)
+    assert trace.spans["twists.invert_steps"][0] == 1

@@ -18,6 +18,7 @@ from twistscl.scripts import (
     StepRecord,
     check_script,
     parse_script,
+    read_lines,
     serialize_script,
 )
 from twistscl.twists import (
@@ -297,6 +298,26 @@ def test_script_past_the_real_step_budget_is_refused_while_parsing():
     assert time.perf_counter() - start < 1.0
     assert err.value.line_no == MAX_SCRIPT_STEPS + 2
     assert str(err.value).endswith(f"more than MAX_SCRIPT_STEPS = {MAX_SCRIPT_STEPS} steps")
+
+
+def test_a_refused_line_is_the_last_line_read():
+    def lines():
+        yield "let source = t1\n"
+        yield "step\n"
+        raise AssertionError("read past the refused line")
+
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script(lines(), CFG)
+    assert err.value.line_no == 2
+
+
+def test_read_lines_stops_one_character_past_the_budget(monkeypatch):
+    monkeypatch.setattr(scripts, "MAX_SCRIPT_CHARS", 10)
+    assert list(read_lines(io.StringIO("let a\nbcd\n"))) == ["let a\n", "bcd\n"]
+    endless = io.StringIO("x" * 100)
+    with pytest.raises(ValueError, match="^more than MAX_SCRIPT_CHARS = 10 characters$"):
+        list(read_lines(endless))
+    assert endless.tell() == 11
 
 
 def test_chained_bindings_parse_in_linear_time():

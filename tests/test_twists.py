@@ -18,7 +18,14 @@ from twistscl.twists import (
     invert_steps,
 )
 
-from twistscl.words import MAX_PARSED_LETTERS, parse_letters
+from twistscl.words import (
+    MAX_PARSED_LETTERS,
+    Word,
+    code_of_token,
+    format_letters,
+    parse_letters,
+    token_of,
+)
 
 CFG = default_configuration()
 W = CFG.word
@@ -484,5 +491,18 @@ def test_step_data_for_odd_mapping_names_is_read_as_the_parser_reads_it():
     for name in ("1", "m^2", "m n", ""):
         with pytest.raises(ValueError, match="is not an identifier"):
             CFG.with_mapping(MappingSymbol(name, (("a1", "a2"),)))
-    for token, code in CFG_G._code_of_token.items():
-        assert parse_letters(token, CFG_G.spell) == [code]
+    # every symbol's recorded spellings, both signs, read as that one letter
+    for name in (*CFG_G.curve_of_twist, *CFG_G.mappings):
+        code = CFG_G.spell(name)[0]
+        for c in (code, -code):
+            spelling = token_of(c)
+            assert spelling == format_letters((c,))
+            assert parse_letters(spelling, CFG_G.spell) == [c]
+            assert code_of_token(spelling) == c
+        assert code_of_token(f"{name}^1") == code
+    # an interned name outside the alphabet goes to the parser, which
+    # refuses it
+    Word.generator("u1")
+    assert code_of_token("u1") is not None
+    with pytest.raises(MoveError, match="unknown symbol 'u1'"):
+        apply_step(CFG_G.word("t1"), Step("free-insert", 0, "u1"), CFG_G)
