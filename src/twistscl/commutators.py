@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import cl_upper
 from .words import (
-    Word, commutator, inverse_letters, join_all, multiply, parse_word, substitute,
+    Word, commutator, cyclic_split, inverse_letters, join_all, multiply, parse_word, substitute,
 )
 
 
@@ -83,10 +83,7 @@ def as_commutator(w: Word) -> Optional[tuple[Word, Word]]:
     (re-checked before returning).
     """
     # Peel conjugation down to the cyclic reduction: w = g * core * g^-1.
-    codes, i = w._codes, 0
-    while len(codes) - 2 * i >= 2 and codes[-1 - i] == -codes[i]:
-        i += 1
-    g, core = Word._raw(codes[:i]), codes[i : len(codes) - i]
+    g, core, _ = cyclic_split(w._codes)
 
     if not core:
         return Word.identity(), Word.identity()
@@ -110,7 +107,7 @@ def as_commutator(w: Word) -> Optional[tuple[Word, Word]]:
                     continue
                 if window[h + x + y : n] != flipped[e - h : e - x - y]:
                     continue
-                conj = g * Word._raw(core[:rot])
+                conj = Word._raw(g + core[:rot])  # a prefix of w, so reduced
                 p = Word._raw(window[0 : x + y]).conjugate(conj)
                 q = (Word._raw(window[x + y : h]) * ~Word._raw(window[0:x])).conjugate(conj)
                 if commutator(p, q) == w:

@@ -35,11 +35,8 @@ from .words import (
 )
 
 BASIS = ("x", "y", "z")
+# Memos are dict literals on these codes: ``dict(zip(...))`` costs ~3x per model step.
 _X, _Y, _Z = _BASIS_CODES = tuple(encode((b, 1) for b in BASIS))
-# A blank per-call memo for ``substitute_codes``, indexed by signed code:
-# a copy gets each basis code's image in its slot, and the slot at the
-# negated code gets that image's inverse once needed.
-_MEMO = [None] * (2 * max(_BASIS_CODES) + 1)
 
 
 def _strays(codes) -> set[int]:
@@ -81,14 +78,13 @@ class Automorphism(Coded):
     def apply(self, w: Word) -> Word:
         if _strays(w._codes):
             raise ValueError(f"{w} is not a word in {BASIS}")
-        memo = _MEMO.copy()
-        memo[_X], memo[_Y], memo[_Z] = self._codes
-        return Word._raw(substitute_codes(w._codes, memo))
+        x, y, z = self._codes
+        return Word._raw(substitute_codes(w._codes, {_X: x, _Y: y, _Z: z}))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Return self after other: (self.compose(other))(w) = self(other(w))."""
-        memo = _MEMO.copy()
-        memo[_X], memo[_Y], memo[_Z] = self._codes
+        x, y, z = self._codes
+        memo = {_X: x, _Y: y, _Z: z}
         return Automorphism._raw(tuple([substitute_codes(c, memo) for c in other._codes]))
 
     def is_identity(self) -> bool:
@@ -145,8 +141,8 @@ def _power(images: tuple[Codes, ...], curve: str, n: int) -> tuple[Codes, ...]:
     along ``curve``: each letter b that T moves goes to
     out(left)^n out(b) out(right)^n, and the others keep their images."""
     moved, left, right = _TWIST_TABLE[curve]
-    memo = _MEMO.copy()
-    memo[_X], memo[_Y], memo[_Z] = images
+    x, y, z = images
+    memo = {_X: x, _Y: y, _Z: z}
     # |n| copies each of out(left^s) and out(right^s), s the sign of n,
     # substituted from the short words themselves; an empty end adds none.
     lead, trail = [(substitute_codes(end if n > 0 else inverse_letters(end), memo),) * abs(n)

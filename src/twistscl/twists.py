@@ -22,13 +22,12 @@ from .words import (
     Letter,
     _set_codes,
     code_of_token,
-    decode,
     encode,
     format_letters,
     free_reduce,
     inverse_letters,
     is_name,
-    join_reduced,
+    join_all,
     name_of,
     parse_letters,
     token_of,
@@ -340,8 +339,7 @@ def _free_cancel(syms, step, config) -> _Rewrite:
     p = step.position
     a, b = _window(syms, step, 2)
     if a != -b:
-        shown_a, shown_b = decode((a, b))
-        raise PatternMismatch(p, f"{shown_a} {shown_b} is not an inverse pair")
+        raise PatternMismatch(p, f"{token_of(a)} {token_of(b)} is not an inverse pair")
     return syms[:p] + syms[p + 2 :], _new_tuple(Step, ("free-insert", p, token_of(a)))
 
 
@@ -394,12 +392,12 @@ def _definition_substitute(syms, step, config) -> _Rewrite:
 
 
 def _conjugate_equation(syms, step, config) -> _Rewrite:
-    conj = tuple(_step_letters(step, config))
+    conj = _step_letters(step, config)
     inv = inverse_letters(conj)
-    # Cancellation happens only at the two seams, so conjugating with the
-    # inverse word undoes the move, provided the cancellation did not reach
-    # an inverse pair of the word itself.
-    out = join_reduced(join_reduced(conj, syms), inv)
+    # ``join_all`` cancels only at the two seams, also in unreduced pieces,
+    # so conjugating with the inverse word undoes the move, provided the
+    # cancellation did not reach an inverse pair of the word itself.
+    out = join_all((conj, syms, inv))
     return out, Step(step.move, step.position, format_letters(inv))
 
 

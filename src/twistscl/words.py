@@ -1,8 +1,12 @@
 """Free-group words over named generators, and the one implementation
 of every job on letter sequences: full reduction, seam-only products,
-inversion, parsing, printing and substitution.  The raw ``TwistWord`` of
-the twist layer and the automorphisms of ``pi1`` use the same routines
-over their own alphabets.
+the ``g core g^-1`` split, inversion, parsing, printing and substitution.
+The raw ``TwistWord`` of the twist layer and the automorphisms of
+``pi1`` use the same routines over their own alphabets.  Every product
+that cancels only where pieces meet is one ``join_all``: ``*``,
+``commutator``, ``conjugate``, substitution, and the twist layer's
+``conjugate-equation`` move, whose pieces may be unreduced and keep
+their own inverse pairs.
 
 Every letter is coded as a signed int: a name has one positive code,
 its letter with sign +1 is that code and its letter with sign -1 is the
@@ -131,20 +135,16 @@ def free_reduce(codes: Sequence[int]) -> Codes:
     return tuple(stack)
 
 
-def join_reduced(a: Codes, b: Codes) -> Codes:
-    """Concatenate, cancelling only at the junction (for reduced a, b: a*b)."""
-    i, j, n = len(a), 0, len(b)
-    while i and j < n and a[i - 1] == -b[j]:
-        i -= 1
-        j += 1
-    return a[:i] + b[j:]
+def join_all(pieces: Iterable[Sequence[int]]) -> Codes:
+    """The product of coded words, cancelling only at seams, in one pass:
+    the one seam join behind every product here and in the layers above.
 
-
-def join_all(pieces: Iterable[Codes]) -> Codes:
-    """The reduced product of reduced coded words, in one pass.
-
-    Only seams can cancel (possibly through whole pieces), so the cost is
-    linear in the letters read and written plus the cancellations.
+    Each piece is appended to what the pieces before it left, cancelling
+    only where it meets that (possibly through whole pieces).  An inverse
+    pair inside a piece is kept, so for reduced pieces this is the reduced
+    product, and for unreduced ones it cancels exactly where joining them
+    two at a time would.  The cost is linear in the letters read and
+    written plus the cancellations.
     """
     out: list[int] = []
     for img in pieces:
@@ -161,19 +161,27 @@ def inverse_letters(codes: Sequence[int]) -> Codes:
     return tuple([-c for c in reversed(codes)])
 
 
-def substitute_codes(codes: Sequence[int], images: list | dict[int, Optional[Codes]]) -> Codes:
+def cyclic_split(codes: Codes) -> tuple[Codes, Codes, Codes]:
+    """Split a reduced coded word as ``g core g^-1`` with ``core``
+    cyclically reduced (its last letter is not its first one's inverse)."""
+    m, k = len(codes), 0
+    while k < m - 1 - k and codes[k] == -codes[m - 1 - k]:
+        k += 1
+    return codes[:k], codes[k : m - k], codes[m - k :]
+
+
+def substitute_codes(codes: Sequence[int], images: dict[int, Codes]) -> Codes:
     """The reduced image of a coded word under a homomorphism.
 
-    ``images[c]`` is the reduced image of letter ``c`` for each positive
-    ``c`` the word uses; ``images[-c]`` is that image's inverse, or None
-    until first needed, when it is filled in (``images`` is the caller's
-    memo, a dict or a list indexed by signed code).  Letters cancel only
-    where one image meets the next, so this is one ``join_all``, and a
-    one-letter word's image is its letter's image itself.
+    ``images``, the caller's memo, maps each positive code ``c`` the word
+    uses to the reduced image of its letter; the image of ``-c``, that
+    image's inverse, is added under ``-c`` when first needed.  Letters
+    cancel only where one image meets the next, so this is one
+    ``join_all``, and a one-letter word's image is its letter's image itself.
     """
     pieces = []
     for c in codes:
-        piece = images[c]
+        piece = images.get(c)
         if piece is None:
             piece = images[c] = inverse_letters(images[-c])
         pieces.append(piece)
@@ -313,7 +321,7 @@ class Word(CodedWord):
         if not isinstance(other, Word):
             return NotImplemented
         # Both operands are reduced, so only the seam can cancel.
-        return Word._raw(join_reduced(self._codes, other._codes))
+        return Word._raw(join_all((self._codes, other._codes)))
 
     def __invert__(self) -> "Word":
         return Word._raw(inverse_letters(self._codes))
@@ -321,17 +329,14 @@ class Word(CodedWord):
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return _IDENTITY
-        codes = self._codes if n > 0 else inverse_letters(self._codes)
-        # Split w = g core g^-1 with core cyclically reduced; then
-        # w^n = g core^n g^-1 and no copy of core cancels against the next.
-        m, k = len(codes), 0
-        while k < m - 1 - k and codes[k] == -codes[m - 1 - k]:
-            k += 1
-        return Word._raw(codes[:k] + codes[k : m - k] * abs(n) + codes[m - k :])
+        # With w = g core g^-1, w^n = g core^n g^-1, and no copy of the
+        # cyclically reduced core cancels against the next.
+        g, core, g_inv = cyclic_split(self._codes if n > 0 else inverse_letters(self._codes))
+        return Word._raw(g + core * abs(n) + g_inv)
 
     def conjugate(self, by: "Word") -> "Word":
         """Return ``by * self * by^-1``."""
-        return by * self * ~by
+        return multiply(by, self, ~by)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
@@ -365,17 +370,17 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     image); the cost is linear in the letters read and written plus the
     cancellations.
     """
-    memo: dict[int, Optional[Codes]] = {}
+    memo: dict[int, Codes] = {}
     for name, image in images.items():
         c = _CODE.get((name, 1))
         if c is not None:  # a name never coded is in no word
-            memo[c], memo[-c] = image._codes, None
+            memo[c] = image._codes
     return Word._raw(substitute_codes(w._codes, memo))
 
 
 def commutator(a: Word, b: Word) -> Word:
     """Return ``a b a^-1 b^-1`` reduced."""
-    return a * b * ~a * ~b
+    return multiply(a, b, ~a, ~b)
 
 
 def multiply(*words: Word) -> Word:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -341,6 +342,64 @@ def test_expand_emit_prints_each_shared_conjugator_once(monkeypatch):
 def test_matrix_beyond_the_cap_is_refused():
     error = assert_refused(["matrix", "--size", str(MAX_MATRIX_SIZE + 1)], "matrix")
     assert str(MAX_MATRIX_SIZE) in error
+
+
+# The CLI fuzz's vocabulary: each subcommand with its required arguments
+# as placeholders, the optional flags, and edge values for every slot.
+FUZZ_COMMANDS = [
+    ["verify", "relations"], ["verify", "tenth-power"], ["check-script", "FILE"],
+    ["expand", "culler", "--k", "V"], ["expand", "bavard", "--r", "V", "--k", "V"],
+    ["bounds", "--genus", "V"], ["numerology", "--genus", "V", "--r", "V", "--n", "V"],
+    ["numerology", "--genus", "V", "--r", "V", "--find-n"], ["matrix", "--size", "V"],
+]
+FUZZ_FLAGS = ["--json", "--trace", "--emit", "--find-n", "--r", "--k", "--n", "--genus",
+              "--punctures", "--boundary", "--side-genus", "--size", "--curve"]
+# Mostly integers, so that many argvs get past argparse.
+FUZZ_VALUES = ["0", "-1", "1", "2", "3", "7", "42", "99999999999"] * 3 + [
+    "1/0", "1/49", "1e5", "nan", "", "separating", "nonseparating", "relations"]
+
+
+def _fuzzed_argv(rng, files):
+    """A seeded argv: a subcommand with values drawn for its placeholders,
+    some flags added and some tokens dropped, duplicated or replaced."""
+    argv = [rng.choice(files) if arg == "FILE" else rng.choice(FUZZ_VALUES) if arg == "V"
+            else arg for arg in rng.choice(FUZZ_COMMANDS)]
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        argv += [rng.choice(FUZZ_FLAGS), rng.choice(FUZZ_VALUES)][: rng.randint(1, 2)]
+    for _ in range(rng.choice((0, 0, 0, 0, 1, 2))):
+        at, vocabulary = rng.randrange(len(argv)), rng.choice((FUZZ_FLAGS, FUZZ_VALUES, argv))
+        argv[at : at + rng.randint(0, 1)] = [rng.choice(vocabulary)][: rng.randint(0, 1)]
+    return argv + ["--json"]
+
+
+def test_cli_survives_a_seeded_argv_fuzz(tmp_path):
+    """Each fuzzed argv prints one JSON report line whose status matches
+    exit 0, 1 or 2, or ends in argparse's SystemExit(2) with nothing on
+    stdout; no other exception escapes, and each call is quick."""
+    failing = tmp_path / "fail.script"
+    failing.write_text("let source = t4 t5\nstep braid @0\nclaim t4 t5\n")
+    files = [str(REPO_ROOT / SCRIPT_PATH), str(failing), str(tmp_path / "missing.script")]
+    rng = random.Random(2424)
+    outcomes, slowest = Counter(), 0.0
+    for _ in range(700):
+        argv = _fuzzed_argv(rng, files)
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit_:
+                assert (exit_.code, out.getvalue()) == (2, ""), argv
+                code = "usage"
+        slowest = max(slowest, time.perf_counter() - start)
+        if code != "usage":
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1, argv
+            status = json.loads(lines[0])["status"]
+            assert (status, code) in (("ok", 0), ("fail", 1), ("refused", 2)), argv
+        outcomes[code] += 1
+    assert slowest < 1.0
+    assert min(outcomes[code] for code in (0, 1, 2, "usage")) >= 5, outcomes
 
 
 def test_check_script_missing_file_is_refused(tmp_path):

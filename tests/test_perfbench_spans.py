@@ -1,5 +1,6 @@
 """Every span the benchmark's tracer shims must exist in the library,
-and the move spans must see replay and inversion.
+the move spans must see replay and inversion, and the word spans the
+expansions and the commutator search.
 
 ``perfbench/tracer.py`` reports a target it cannot find as absent and
 drops the metrics built on it, so a rename in ``twistscl`` would quietly
@@ -50,3 +51,25 @@ def test_replay_and_inversion_record_their_move_spans():
         trace.uninstall()
     assert trace.spans["twists.apply_step"][0] == len(script.steps)
     assert trace.spans["twists.invert_steps"][0] == 1
+
+
+def test_expansions_and_the_commutator_search_record_their_word_spans():
+    tracer = _load_tracer()
+    trace = tracer.Tracer()
+    words, commutators = twistscl.words, twistscl.commutators
+    x, y = words.generators("x", "y")
+    w = words.commutator(x * y, y ** 2)
+    runs = [
+        (lambda: commutators.culler_expand(x, y, 3), ("words.commutator", "words.Word.__pow__")),
+        (lambda: commutators.shuffle_expand(x, y, 3), ("words.Word.__pow__",)),
+        (lambda: commutators.as_commutator(w), ("words.commutator", "words.Word.__mul__")),
+    ]
+    trace.install(twistscl)
+    try:
+        for run, spans in runs:
+            before = {span: trace.spans[span][0] for span in spans}
+            assert run()
+            for span in spans:
+                assert trace.spans[span][0] > before[span], span
+    finally:
+        trace.uninstall()

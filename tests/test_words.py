@@ -86,6 +86,11 @@ def test_product_cancels_at_the_seam_like_full_reduction():
         tail = (~a).letters[: rng.randint(0, len(a))]  # inverse of a's tail
         b = Word(tail + tuple(random_letters(rng, rng.randint(0, 10))))
         assert a * b == Word(a.letters + b.letters)
+        # spelled out letter by letter, then fully reduced
+        a_inv = tuple((name, -sign) for name, sign in reversed(a.letters))
+        b_inv = tuple((name, -sign) for name, sign in reversed(b.letters))
+        assert commutator(a, b) == Word(a.letters + b.letters + a_inv + b_inv)
+        assert b.conjugate(a) == Word(a.letters + b.letters + a_inv)
 
 
 def test_generator_rejects_bad_sign():
