@@ -52,6 +52,8 @@ class SurfaceSpec:
                 raise ValueError(
                     "a separating curve needs a side genus h with 1 <= h <= genus/2"
                 )
+        elif self.side_genus is not None:
+            raise ValueError("a side genus is only given for a separating curve")
 
     @property
     def closed(self) -> bool:

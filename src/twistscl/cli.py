@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -299,7 +300,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError, ExpansionNotFound) as err:
         report = Report(command, "refused", {"error": str(err)})
         text = render(report)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at the null device, so
+        # the interpreter's final flush of what is left is silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return _EXIT_CODES[report.status]
 
 

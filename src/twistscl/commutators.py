@@ -141,38 +141,35 @@ def shuffle_expand(u: Word, v: Word, k: int) -> list[Word]:
 #
 # which needs every bracketed word to be a single commutator.  Junction
 # chains J_1..J_m with that property were found by a graph search over
-# short null-homologous junctions (edges decided by as_commutator); the
-# resulting factor pairs are frozen in data/culler_witnesses.json for
-# odd k up to 41.  Substituting any u, v for x, y preserves the
-# identity, so one witness serves every alphabet.  Even k reduces to k-1
-# with one extra [u,v] factor.  Beyond the frozen table the expansion is
-# refused at once.  The table stays although closed forms are known: their
-# factor values grow linearly with the factor index, so certifying k = 41
-# reads 1.5-2.5 times the table's letters, whose junctions stay bounded.
+# short null-homologous junctions (edges decided by as_commutator).  The
+# factor pair of each edge used is stored once, in the "pairs" list of
+# data/culler_witnesses.json; under "chains" each odd k up to 41 names
+# its pairs by index, in order (k = 1: [x, y] itself, the m = 0 witness).
+# Substituting any u, v for x, y preserves the identity, so one witness
+# serves every alphabet.  Even k reduces to k-1 with one extra [u,v]
+# factor.  Beyond the frozen table the expansion is refused at once.  The
+# table stays although closed forms are known: their factor values grow
+# linearly with the factor index, so certifying k = 41 reads 1.5-2.5
+# times the table's letters, whose junctions stay bounded.
 
 MAX_EXPANSION_FACTORS = 10_000
-
-_CULLER_XY = ((Word.generator("x"), Word.generator("y")),)  # [x,y] itself: the m = 0 witness
 
 
 @cache
 def _load_witnesses() -> dict[int, list[tuple[Word, Word]]]:
+    """Each odd k's factor pairs over x, y; chains share each parsed pair."""
     import json
     from importlib import resources
 
     path = resources.files("twistscl").joinpath("data/culler_witnesses.json")
     raw = json.loads(path.read_text())
-    return {
-        int(k): [(parse_word(p), parse_word(q)) for p, q in pairs]
-        for k, pairs in raw.items()
-    }
+    pairs = [(parse_word(p), parse_word(q)) for p, q in raw["pairs"]]
+    return {int(k): [pairs[i] for i in chain] for k, chain in raw["chains"].items()}
 
 
 def _witnesses(k: int) -> Sequence[tuple[Word, Word]]:
     """Factor pairs over x, y for [x,y]^n, n the odd one of k and k-1."""
     n = k - 1 + k % 2
-    if n == 1:
-        return _CULLER_XY
     table = _load_witnesses()
     if n not in table:
         raise ExpansionNotFound(f"no certified witness for k={n}; the frozen table "

@@ -368,14 +368,17 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     Every image and every image's inverse is reduced, so letters cancel
     only where one image meets the next (possibly through a whole
     image); the cost is linear in the letters read and written plus the
-    cancellations.
+    cancellations.  A generator of ``w`` with no image is a ValueError.
     """
     memo: dict[int, Codes] = {}
     for name, image in images.items():
         c = _CODE.get((name, 1))
         if c is not None:  # a name never coded is in no word
             memo[c] = image._codes
-    return Word._raw(substitute_codes(w._codes, memo))
+    try:
+        return Word._raw(substitute_codes(w._codes, memo))
+    except KeyError as err:  # the memo lacks this letter and its inverse
+        raise ValueError(f"no image for generator {name_of(err.args[0])!r}") from None
 
 
 def commutator(a: Word, b: Word) -> Word:

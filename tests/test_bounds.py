@@ -68,6 +68,9 @@ def test_bound_refusals_are_explicit():
         SurfaceSpec(3, curve="separating")  # missing side genus
     with pytest.raises(ValueError):
         SurfaceSpec(3, curve="separating", side_genus=2)  # 2h > g
+    for curve in ("nonseparating", "bounds-punctured-disc"):
+        with pytest.raises(ValueError, match="only given for a separating curve"):
+            SurfaceSpec(3, punctures=2, curve=curve, side_genus=1)
 
 
 def test_lower_never_exceeds_upper_up_to_large_genus():

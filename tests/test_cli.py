@@ -232,6 +232,8 @@ REFUSED = [
     ("expand-bavard-r0", ["expand", "bavard", "--r", "0", "--k", "3"], "expand bavard",
      "need at least one commutator pair"),
     ("bounds-genus1", ["bounds", "--genus", "1"], "bounds", "require genus >= 2"),
+    ("bounds-side-genus-nonseparating", ["bounds", "--genus", "3", "--side-genus", "1"],
+     "bounds", "a side genus is only given for a separating curve"),
     ("matrix-size0", ["matrix", "--size", "0"], "matrix", "size must be >= 1"),
 ] + [
     (f"numerology-{name}-{n[0][2:]}", ["numerology", *args, *n], "numerology", error)
@@ -439,6 +441,22 @@ def test_module_entry_point_subprocess():
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["details"]["minors"] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("launch", [
+    ["-m", "twistscl"],
+    ["-c", "import sys; from twistscl.cli import main; sys.exit(main())"],  # the console script
+], ids=["module", "console-script"])
+def test_a_reader_closing_the_pipe_ends_the_cli_silently(launch):
+    """A report too long for the pipe buffer, whose reader has gone: the
+    report's own exit status and nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, *launch, "matrix", "--size", "600", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (0, b"")
 
 
 def test_cli_imports_only_the_standard_library():

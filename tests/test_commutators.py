@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -7,6 +10,7 @@ from twistscl.bounds import cl_upper
 from twistscl.commutators import (
     MAX_EXPANSION_FACTORS,
     ExpansionNotFound,
+    _witnesses,
     as_commutator,
     bavard_expand,
     culler_expand,
@@ -198,6 +202,26 @@ def test_culler_beyond_table_refuses_without_searching(monkeypatch):
     u, v = generators("u", "v")
     with pytest.raises(ExpansionNotFound, match="odd k <= 41"):
         culler_expand(u, v, 43)
+
+
+def test_every_culler_witness_is_pinned_and_stored_once():
+    """The factor pairs for k = 1..42, in order, hash to one digest; the
+    table stores each distinct pair once and each odd k's chain of them."""
+    text = "\n".join(f"{k}: " + "; ".join(f"{p}, {q}" for p, q in _witnesses(k))
+                     for k in range(1, 43))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5be61fb4ea0cc73c3cc6b8eb0c438a4121a18a1015b10fd7be215ba4da94ceaf"
+    )
+    path = resources.files("twistscl").joinpath("data/culler_witnesses.json")
+    raw = json.loads(path.read_text())
+    pairs, chains = [(parse_word(p), parse_word(q)) for p, q in raw["pairs"]], raw["chains"]
+    assert len(set(pairs)) == len(pairs) == 40
+    assert generators("x", "y") in pairs
+    assert {i for chain in chains.values() for i in chain} == set(range(len(pairs)))
+    assert sorted(map(int, chains)) == list(range(1, 42, 2))
+    for k, chain in chains.items():
+        assert len(chain) == (int(k) + 1) // 2, k
+    assert _witnesses(41)[0] is _witnesses(39)[0]  # a shared pair is parsed once
 
 
 def test_substitution_preserves_identities():

@@ -324,6 +324,12 @@ def test_join_all_matches_full_reduction():
     assert min(seen.values()) >= 200, seen
 
 
+@pytest.mark.parametrize("text", ["x q", "x q^-1", "q^-1 x", "q"])
+def test_substitute_names_a_generator_without_an_image(text):
+    with pytest.raises(ValueError, match="no image for generator 'q'"):
+        substitute(parse_word(text), {"x": parse_word("y")})
+
+
 def _checker(alphabet, seen):
     def code(name):
         seen.append(name)
