@@ -20,7 +20,6 @@ from .twists import (
     Step,
     TwistWord,
     default_configuration,
-    invert_steps,
 )
 
 
@@ -80,6 +79,9 @@ def four_twist_commutator(
     mapping symbol by naturality in three moves.
     """
     config = config or default_configuration()
+    for curve in (a, b, c, d):
+        if curve not in config.curves:
+            raise ValueError(f"unknown curve {curve!r}")
     if mapping.image(a, 1) != d or mapping.image(b, 1) != c:
         raise MappingMismatch(
             f"mapping {mapping.name!r} must send {a}->{d} and {b}->{c}; "
@@ -102,91 +104,53 @@ def four_twist_commutator(
 # The tenth-power certificate
 # ---------------------------------------------------------------------------
 
+def _shipped_script(name: str, config: CurveConfiguration) -> tuple[ProofScript, CurveConfiguration]:
+    """Parse the proof script shipped as ``data/<name>`` against ``config``."""
+    text = resources.files("twistscl").joinpath(f"data/{name}").read_text()
+    return parse_script(text, config)
+
+
 def boundary_pair_script(config: Optional[CurveConfiguration] = None) -> ProofScript:
     """The replayable derivation of the two-bracket normal form,
     t4 t5 = t1 t_alpha t2^4 t1 t2^-1 t_beta t2^-1 t2^6, as shipped in
     ``data/tenth_power.script``."""
-    text = resources.files("twistscl").joinpath("data/tenth_power.script").read_text()
-    return parse_script(text, config or default_configuration())[0]
+    return _shipped_script("tenth_power.script", config or default_configuration())[0]
 
 
 def standard_mappings() -> tuple[MappingSymbol, MappingSymbol]:
-    """The two declared coordinate changes used by the tenth-power proof."""
-    g = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
-    h = MappingSymbol("h", (("a1", "a2"), ("a2", "beta")))
-    return g, h
+    """The two declared coordinate changes used by the tenth-power proof,
+    g and h, as the ``map`` lines of its shipped script declare them."""
+    return _tenth_power_script()[2]
 
 
-def tenth_power_certificate(
-    config: Optional[CurveConfiguration] = None,
-) -> CertifiedExpression:
+def tenth_power_certificate(config: Optional[CurveConfiguration] = None) -> CertifiedExpression:
     """Certify ``t2^10`` as a product of two commutators.
 
     The factors are [t4 t_alpha^-1, g] and the t2^-6 conjugate of
-    [h, t1 t2^-1], for declared mappings g: a4->a1, alpha->a5 and
-    h: a1->a2, a2->beta.  The certificate script is produced by
-    building the spelled-out certificate up from t2^10 with reversible
-    moves and then playing the inverses; its replay by check_script is
-    value preserving and lands exactly on t2^10.  The script is built
-    once per process; every call replays it against ``config``.
+    [h, t1 t2^-1].  The certificate script is shipped as
+    ``data/tenth_power_certificate.script``, whose ``map`` lines declare
+    g and h; its replay by check_script is value preserving and lands
+    exactly on t2^10.  The script is parsed once per process; every call
+    replays it against ``config``.
     """
-    expr, script = _tenth_power_script()
-    return _certify(expr, script, config or default_configuration(), standard_mappings())
+    expr, script, mappings = _tenth_power_script()
+    return _certify(expr, script, config or default_configuration(), mappings)
 
 
 @functools.cache
-def _tenth_power_script() -> tuple[TwistCommutatorExpression, ProofScript]:
-    """The certificate expression and its 47-step script.
+def _tenth_power_script() -> tuple[TwistCommutatorExpression, ProofScript,
+                                   tuple[MappingSymbol, MappingSymbol]]:
+    """The certificate expression, its 47-step script, and the mappings g
+    and h its ``map`` lines declare.
 
-    The script is assembled against the standard relations; the caller's
+    The script is parsed against the default configuration; the caller's
     configuration only governs the replay, so removing a relation there
     makes certification fail at the step that needed it.  Everything
     returned is immutable, so callers share it safely.
     """
-    g, h = standard_mappings()
-    builder = default_configuration().with_mapping(g).with_mapping(h)
-    word = builder.word
-
+    script, cfg = _shipped_script("tenth_power_certificate.script", default_configuration())
+    word = cfg.word
     factor1 = CommutatorFactor(TwistWord(), word("t4 t_alpha^-1"), word("g"))
     factor2 = CommutatorFactor(word("t2^-6"), word("h"), word("t1 t2^-1"))
-    target = word("t2^10")
-    expr = TwistCommutatorExpression((factor1, factor2), target)
-
-    # Build the spelled certificate up from t2^10.
-    core = boundary_pair_script(builder)
-    _, reversed_core = invert_steps(core.source, core.steps, builder)
-    buildup: list[Step] = [
-        # t2^4 * Q * Q^-1 * t2^6 with Q = t1 t2^-1 t_beta t2^-1
-        Step("free-insert", 4, "t1"),
-        Step("free-insert", 5, "t2^-1"),
-        Step("free-insert", 6, "t_beta"),
-        Step("free-insert", 7, "t2^-1"),
-    ]
-    buildup += [Step("free-insert", 8 + i, "t2") for i in range(6)]
-    buildup += [
-        # wrap with t_alpha^-1 t1^-1 ... so the normal form appears
-        Step("free-insert", 0, "t_alpha^-1"),
-        Step("free-insert", 1, "t1^-1"),
-    ]
-    buildup += [Step(s.move, s.position + 2, s.data) for s in reversed_core]
-    buildup += [
-        # unfold alpha, pull the boundary twists to the front, refold
-        Step("definition-substitute", 0, "alpha"),
-        Step("commute", 5),
-        Step("commute", 4),
-        Step("commute", 3),
-        Step("commute", 2),
-        Step("commute", 1),
-        Step("commute", 0),
-        Step("commute", 6),
-        Step("definition-substitute", 1, "alpha"),
-        # reinstate the mapping symbols by naturality
-        Step("twist-naturality", 2, "g"),
-        Step("twist-naturality", 5, "g"),
-        Step("free-cancel", 4),
-        Step("twist-naturality", 12, "h"),
-        Step("twist-naturality", 15, "h"),
-        Step("free-cancel", 14),
-    ]
-    spelled, steps = invert_steps(target, buildup, builder)
-    return expr, ProofScript(spelled, tuple(steps), target)
+    expr = TwistCommutatorExpression((factor1, factor2), word("t2^10"))
+    return expr, script, (cfg.mappings["g"], cfg.mappings["h"])

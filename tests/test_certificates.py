@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from twistscl.certificates import (
@@ -7,7 +9,7 @@ from twistscl.certificates import (
     standard_mappings,
     tenth_power_certificate,
 )
-from twistscl.scripts import ProofScript, check_script
+from twistscl.scripts import ProofScript, check_script, serialize_script
 from twistscl.twists import MappingMismatch, MappingSymbol, Step, default_configuration
 
 CFG = default_configuration()
@@ -44,6 +46,17 @@ def test_four_twist_mapping_mismatch():
         four_twist_commutator("a1", "a2", "beta", "a2", g, CFG)
 
 
+@pytest.mark.parametrize("a, b, c, d, pairs", [
+    ("zz", "a2", "a3", "a1", (("zz", "a1"), ("a2", "a3"))),
+    ("a1", "zz", "a3", "a2", (("a1", "a2"), ("zz", "a3"))),
+    ("a1", "a2", "zz", "a3", (("a1", "a3"), ("a2", "zz"))),
+    ("a1", "a2", "a3", "zz", (("a1", "zz"), ("a2", "a3"))),
+])
+def test_four_twist_refuses_an_unknown_curve(a, b, c, d, pairs):
+    with pytest.raises(ValueError, match="^unknown curve 'zz'$"):
+        four_twist_commutator(a, b, c, d, MappingSymbol("m", pairs), CFG)
+
+
 def test_four_twist_certificate_script_is_checkable_independently():
     g, _ = standard_mappings()
     cert = four_twist_commutator("a4", "alpha", "a5", "a1", g, CFG)
@@ -72,7 +85,7 @@ def test_tenth_power_two_certified_factors():
     assert cert.report.value_preserving()
 
 
-def test_tenth_power_script_is_built_once_and_replayed_on_every_call():
+def test_tenth_power_script_is_parsed_once_and_replayed_on_every_call():
     first = tenth_power_certificate(CFG)
     broken = tenth_power_certificate(CFG.without_chain_relations())
     again = tenth_power_certificate()
@@ -81,6 +94,16 @@ def test_tenth_power_script_is_built_once_and_replayed_on_every_call():
     # the shared script is re-checked against each caller's configuration
     assert first.certified and again.certified and not broken.certified
     assert first.report is not again.report and first.report == again.report
+
+
+def test_tenth_power_script_is_pinned_and_carries_the_boundary_script():
+    script = tenth_power_certificate(CFG).script
+    text = serialize_script(script, "", standard_mappings())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cdf51c10f491564bf9d554e70a75d57e2cdefb79a05cfffcaa60cee36beeafde")
+    core = boundary_pair_script(CFG)
+    assert len(core.steps) == 20
+    assert script.steps[15:35] == tuple(s._replace(position=s.position + 2) for s in core.steps)
 
 
 def test_tenth_power_reuses_identical_declared_mappings():

@@ -417,6 +417,16 @@ def test_check_script_trace_lists_intermediate_words():
     assert trace[-1]["word"] == payload["details"]["final"]
 
 
+@pytest.mark.parametrize("path", sorted((REPO_ROOT / "src" / "twistscl" / "data").glob("*.script")),
+                         ids=lambda path: path.name)
+def test_every_shipped_script_replays_to_its_claim(path):
+    code, output = run_cli(["check-script", str(path), "--json"])
+    assert code == 0
+    details = json.loads(output)["details"]
+    assert details["accepted"] and details["conjugator"] == "1"
+    assert details["final"] == details["claimed"]
+
+
 def test_human_readable_output_mentions_status():
     code, output = run_cli(["bounds", "--genus", "3", "--curve", "nonseparating"])
     assert code == 0

@@ -117,6 +117,22 @@ def test_shipped_script_preserves_the_model_value():
     assert checked == len(script.steps) == 20
 
 
+def test_shipped_certificate_acts_like_its_claim_once_the_mappings_are_gone():
+    """The tenth-power certificate's records without a mapping symbol (the
+    model cannot evaluate one) all evaluate to t2^10."""
+    text = resources.files("twistscl").joinpath("data/tenth_power_certificate.script").read_text()
+    script, cfg = parse_script(text, CFG)
+    report = check_script(script, cfg)
+    assert report.accepted and report.value_preserving()
+    claim_aut = evaluate(script.claimed, CFG)
+    checked = []
+    for record in report.records:
+        if not any(name in cfg.mappings for name, _ in record.word.symbols):
+            assert evaluate(record.word, CFG) == claim_aut, str(record.word)
+            checked.append(record.index)
+    assert checked == list(range(5, 47))
+
+
 def test_reported_conjugator_carries_the_source_to_the_final_word():
     """An accepted script certifies final = C source C^-1 for the report's
     accumulated conjugator C, here checked in the model."""
