@@ -104,23 +104,27 @@ def four_twist_commutator(
 # The tenth-power certificate
 # ---------------------------------------------------------------------------
 
-def _shipped_script(name: str, config: CurveConfiguration) -> tuple[ProofScript, CurveConfiguration]:
-    """Parse the proof script shipped as ``data/<name>`` against ``config``."""
+@functools.cache
+def _shipped_script(name: str) -> tuple[ProofScript, CurveConfiguration]:
+    """The proof script shipped as ``data/<name>``, parsed once per process
+    against the default configuration.  Both are immutable, so callers
+    share them."""
     text = resources.files("twistscl").joinpath(f"data/{name}").read_text()
-    return parse_script(text, config)
+    return parse_script(text, default_configuration())
 
 
-def boundary_pair_script(config: Optional[CurveConfiguration] = None) -> ProofScript:
+def boundary_pair_script() -> ProofScript:
     """The replayable derivation of the two-bracket normal form,
     t4 t5 = t1 t_alpha t2^4 t1 t2^-1 t_beta t2^-1 t2^6, as shipped in
     ``data/tenth_power.script``."""
-    return _shipped_script("tenth_power.script", config or default_configuration())[0]
+    return _shipped_script("tenth_power.script")[0]
 
 
 def standard_mappings() -> tuple[MappingSymbol, MappingSymbol]:
     """The two declared coordinate changes used by the tenth-power proof,
     g and h, as the ``map`` lines of its shipped script declare them."""
-    return _tenth_power_script()[2]
+    mappings = _shipped_script("tenth_power_certificate.script")[1].mappings
+    return mappings["g"], mappings["h"]
 
 
 def tenth_power_certificate(config: Optional[CurveConfiguration] = None) -> CertifiedExpression:
@@ -131,26 +135,18 @@ def tenth_power_certificate(config: Optional[CurveConfiguration] = None) -> Cert
     ``data/tenth_power_certificate.script``, whose ``map`` lines declare
     g and h; its replay by check_script is value preserving and lands
     exactly on t2^10.  The script is parsed once per process; every call
-    replays it against ``config``.
+    replays it against ``config``, so removing a relation there makes
+    certification fail at the step that needed it.
     """
-    expr, script, mappings = _tenth_power_script()
-    return _certify(expr, script, config or default_configuration(), mappings)
+    script = _shipped_script("tenth_power_certificate.script")[0]
+    return _certify(_tenth_power_expression(), script, config or default_configuration(),
+                    standard_mappings())
 
 
 @functools.cache
-def _tenth_power_script() -> tuple[TwistCommutatorExpression, ProofScript,
-                                   tuple[MappingSymbol, MappingSymbol]]:
-    """The certificate expression, its 47-step script, and the mappings g
-    and h its ``map`` lines declare.
-
-    The script is parsed against the default configuration; the caller's
-    configuration only governs the replay, so removing a relation there
-    makes certification fail at the step that needed it.  Everything
-    returned is immutable, so callers share it safely.
-    """
-    script, cfg = _shipped_script("tenth_power_certificate.script", default_configuration())
-    word = cfg.word
+def _tenth_power_expression() -> TwistCommutatorExpression:
+    """The certificate's two factors and target, in its script's words."""
+    word = _shipped_script("tenth_power_certificate.script")[1].word
     factor1 = CommutatorFactor(TwistWord(), word("t4 t_alpha^-1"), word("g"))
     factor2 = CommutatorFactor(word("t2^-6"), word("h"), word("t1 t2^-1"))
-    expr = TwistCommutatorExpression((factor1, factor2), word("t2^10"))
-    return expr, script, (cfg.mappings["g"], cfg.mappings["h"])
+    return TwistCommutatorExpression((factor1, factor2), word("t2^10"))

@@ -106,7 +106,7 @@ def _cmd_verify(args) -> _Outcome:
 
     # tenth-power: replay the shipped script, check the displayed equality
     # in the representation, then certify the two-commutator expression.
-    script = boundary_pair_script(config)
+    script = boundary_pair_script()
     replay = check_script(script, config)
     lhs, rhs = (config.word(text) for text in DISPLAYED_EQUALITY)
     displayed = equal_in_rep(lhs, rhs, config)

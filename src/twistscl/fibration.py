@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
-from .bounds import scl_lower
-
-Rational = Union[int, Fraction]
+from .bounds import Rational, scl_lower
 
 LI_PREMISE = "assumed: 2(g-1)(rn-1) <= c1^2 for relatively minimal fibrations"
 
@@ -51,17 +49,23 @@ class FibrationInvariants:
         return self.contradiction_value < 0
 
 
+def _premises(g: int, r: Rational) -> Fraction:
+    """``r`` as a Fraction, once the premises g >= 2 and r > 0 hold."""
+    r = Fraction(r)
+    if g < 2:
+        raise ValueError("fiber genus must be >= 2")
+    if r <= 0:
+        raise ValueError("commutator ratio r must be positive")
+    return r
+
+
 def invariants_report(g: int, r: Rational, n: int) -> FibrationInvariants:
     """Evaluate the full invariant chain for parameters (g, r, n).
 
     Requires g >= 2, r > 0 and r*n integral, so that every derived
     quantity is an exact integer.
     """
-    r = Fraction(r)
-    if g < 2:
-        raise ValueError("fiber genus must be >= 2")
-    if r <= 0:
-        raise ValueError("commutator ratio r must be positive")
+    r = _premises(g, r)
     if n < 1:
         raise ValueError("n must be >= 1")
     rn_frac = r * n
@@ -100,11 +104,7 @@ def find_contradiction_n(g: int, r: Rational) -> ContradictionSearch:
     (18g-6)r - 1 is nonnegative (no refutation is claimed at or above
     the proved bound).
     """
-    r = Fraction(r)
-    if g < 2:
-        raise ValueError("fiber genus must be >= 2")
-    if r <= 0:
-        raise ValueError("commutator ratio r must be positive")
+    r = _premises(g, r)
     slope = r / scl_lower(g) - 1
     if slope >= 0:
         return ContradictionSearch(None, True)

@@ -154,17 +154,24 @@ def _power(images: tuple[Codes, ...], curve: str, n: int) -> tuple[Codes, ...]:
                   for b, img in zip(BASIS, images)])
 
 
-def twist_automorphism(curve: str, n: int = 1) -> Automorphism:
-    """The n-th power of the twist along ``curve``, for any integer n."""
+def _modeled(curve: str) -> str:
+    """``curve``, if the model has a twist along it; else UnknownCurve."""
     if curve not in _TWIST_TABLE:
         raise UnknownCurve(f"no modeled twist along {curve!r}; model curves are a1..a5")
-    return Automorphism._raw(_power(_IDENTITY._codes, curve, n))
+    return curve
+
+
+def twist_automorphism(curve: str, n: int = 1) -> Automorphism:
+    """The n-th power of the twist along ``curve``, for any integer n."""
+    return Automorphism._raw(_power(_IDENTITY._codes, _modeled(curve), n))
 
 
 def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Automorphism:
     """The automorphism of ``w``; the last symbol of ``w`` acts first.
 
     Mapping symbols have no model: the first one raises UnresolvedSymbol.
+    Then a twist along a curve the model lacks, itself or in an expansion,
+    raises UnknownCurve, checked per distinct symbol before any image.
     Twists about defined curves (alpha, beta) are spelled out through
     ``config.expansions``, which names only undefined curves, and reduced
     with the rest of the word.  Each run of n equal symbols t is then one
@@ -177,6 +184,12 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
     for c in w._codes:
         if abs(c) not in curve_of:
             raise UnresolvedSymbol(f"symbol {name_of(c)!r} is not a twist in this configuration")
+    # Expansions name only undefined curves: with all of those modeled,
+    # every twist of the word is.
+    if not _TWIST_TABLE.keys() >= config.undefined_curves:
+        for c in dict.fromkeys(map(abs, w._codes)):  # distinct, in word order
+            for letter in expansions.get(c) or (c,):
+                _modeled(curve_of[abs(letter)])
     images = _IDENTITY._codes
     for c, run in groupby(join_all([expansions.get(c) or (c,) for c in w._codes])):
         n = len(tuple(run))
@@ -198,7 +211,6 @@ def equal_in_rep(
 class RelationCheck(NamedTuple):
     name: str
     passed: bool
-    detail: str
 
 
 class ModelReport(NamedTuple):
@@ -225,9 +237,7 @@ def validate_model(config: Optional[CurveConfiguration] = None) -> ModelReport:
     config = config or default_configuration()
     checks: list[RelationCheck] = []
     word = lambda text: TwistWord.parse(text, config)
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(RelationCheck(name, ok, detail))
+    check = lambda name, ok: checks.append(RelationCheck(name, ok))
 
     for a, b in sorted(tuple(sorted(p)) for p in config.disjoint_pairs):
         ta, tb = config.twist_of_curve[a], config.twist_of_curve[b]

@@ -45,7 +45,7 @@ def test_criterion_1_relation_validation():
 
 
 def test_criterion_2_tenth_power_replay_and_mutants():
-    script = boundary_pair_script(CFG)
+    script = boundary_pair_script()
     assert check_script(script, CFG).accepted
     cert = tenth_power_certificate(CFG)
     assert cert.certified and len(cert.expression.factors) == 2

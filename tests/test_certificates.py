@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
+from collections import Counter
 
 import pytest
 
+from twistscl import certificates, cli
 from twistscl.certificates import (
     CertifiedExpression,
     boundary_pair_script,
@@ -101,9 +105,32 @@ def test_tenth_power_script_is_pinned_and_carries_the_boundary_script():
     text = serialize_script(script, "", standard_mappings())
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "cdf51c10f491564bf9d554e70a75d57e2cdefb79a05cfffcaa60cee36beeafde")
-    core = boundary_pair_script(CFG)
+    core = boundary_pair_script()
     assert len(core.steps) == 20
     assert script.steps[15:35] == tuple(s._replace(position=s.position + 2) for s in core.steps)
+
+
+def test_each_shipped_script_is_parsed_once_per_process(monkeypatch):
+    """Every reader of ``data/*.script`` shares one cached parse per file."""
+    parsed = Counter()
+    parse = certificates.parse_script
+
+    def counting(text, config):
+        parsed[text] += 1
+        return parse(text, config)
+
+    monkeypatch.setattr(certificates, "parse_script", counting)
+    certificates._shipped_script.cache_clear()
+    try:
+        for _ in range(3):
+            assert boundary_pair_script() is boundary_pair_script()
+            standard_mappings()
+            tenth_power_certificate()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["verify", "tenth-power", "--json"]) == 0
+    finally:
+        certificates._shipped_script.cache_clear()
+    assert sorted(parsed.values()) == [1, 1]
 
 
 def test_tenth_power_reuses_identical_declared_mappings():
@@ -191,7 +218,7 @@ def _first(script: ProofScript, move: str) -> int:
 
 
 def test_mutation_suite_rejects_every_mutant():
-    script = boundary_pair_script(CFG)
+    script = boundary_pair_script()
     assert check_script(script, CFG).accepted
     names = []
     for name, mutant in _mutants(script):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from twistscl import cli, commutators, scripts
 from twistscl.commutators import MAX_EXPANSION_FACTORS
 from twistscl.fibration import MAX_MATRIX_SIZE
 from twistscl.scripts import MAX_REPLAY_SYMBOLS
+from twistscl.twists import default_configuration
 from twistscl.words import MAX_PARSED_LETTERS, Word, format_letters
 
 from golden_cases import CASES, SCRIPT_PATH
@@ -425,6 +427,40 @@ def test_every_shipped_script_replays_to_its_claim(path):
     details = json.loads(output)["details"]
     assert details["accepted"] and details["conjugator"] == "1"
     assert details["final"] == details["claimed"]
+
+
+def test_verify_tenth_power_without_chain_relations_names_the_failing_step(monkeypatch):
+    config = default_configuration().without_chain_relations()
+    monkeypatch.setattr(cli, "default_configuration", lambda: config)
+    code, output = run_cli(["verify", "tenth-power", "--json"])
+    assert code == 1
+    payload = json.loads(output)
+    assert payload["status"] == "fail"
+    assert payload["details"]["first_failure"] == {
+        "step": 3, "reason": "@1: no chain relation is registered"}
+
+
+def test_verify_relations_names_the_first_failed_check(monkeypatch):
+    base = default_configuration()
+    a1a2 = frozenset(("a1", "a2"))
+    config = replace(base, braid_pairs=base.braid_pairs - {a1a2},
+                     disjoint_pairs=base.disjoint_pairs | {a1a2})
+    monkeypatch.setattr(cli, "default_configuration", lambda: config)
+    code, output = run_cli(["verify", "relations", "--json"])
+    assert code == 1
+    payload = json.loads(output)
+    assert payload["status"] == "fail"
+    assert payload["details"]["first_failure"] == "disjoint a1,a2: twists commute"
+
+
+def test_verify_tenth_power_text_prints_the_certificate_as_sorted_json():
+    code, output = run_cli(["verify", "tenth-power", "--json"])
+    certificate = json.loads(output)["certificate"]
+    code, output = run_cli(["verify", "tenth-power"])
+    assert code == 0
+    assert output.startswith("[ok] verify tenth-power\n")
+    assert output.splitlines()[-1] == (
+        f"  certificate: {json.dumps(certificate, sort_keys=True)}")
 
 
 def test_human_readable_output_mentions_status():

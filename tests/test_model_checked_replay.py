@@ -133,6 +133,141 @@ def test_shipped_certificate_acts_like_its_claim_once_the_mappings_are_gone():
     assert checked == list(range(5, 47))
 
 
+# ---------------------------------------------------------------------------
+# The symplectic model: the action on H_1 of the closed genus-3 surface
+# ---------------------------------------------------------------------------
+# Basis a1 b1 a2 b2 a3 b3 with omega(a_i, b_i) = 1; a twist acts by
+# T_c(v) = v + omega(v, c) c (Farb-Margalit, Prop. 6.3).  Unlike ``pi1``,
+# it gives the mapping symbols g and h a value: G and H, integer rows
+# acting on column vectors.  A word s1...sn is the product M(s1)...M(sn).
+# Homology can refute a rewriting rule but not prove one: the Torelli
+# group lies in its kernel, and t4, t5 act alike here since [a4] = [a5].
+
+RANK = 6
+SYMPLECTIC_G = ((1, 0, 1, -1, 0, 0), (0, 0, 0, 1, 0, 0), (1, -1, 0, 1, 0, 0),
+                (2, -1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+SYMPLECTIC_H = ((0, -1, 0, 0, 0, 0), (1, -3, 0, 1, 0, 0), (0, 1, 1, -1, 0, 0),
+                (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+IDENTITY6 = tuple(tuple(int(i == j) for j in range(RANK)) for i in range(RANK))
+
+
+def omega(u, v) -> int:
+    return sum(u[i] * v[i + 1] - u[i + 1] * v[i] for i in range(0, RANK, 2))
+
+
+def matmul(m, n):
+    return tuple(tuple(sum(m[i][k] * n[k][j] for k in range(RANK)) for j in range(RANK))
+                 for i in range(RANK))
+
+
+def apply(m, v):
+    return tuple(sum(m[i][k] * v[k] for k in range(RANK)) for i in range(RANK))
+
+
+def transpose(m):
+    return tuple(zip(*m))
+
+
+def twist_matrix(c, n: int = 1):
+    """T_c^n, column j the image n-fold of the j-th basis vector."""
+    columns = [tuple(int(i == j) + n * omega(IDENTITY6[j], c) * c[i] for i in range(RANK))
+               for j in range(RANK)]
+    return transpose(columns)
+
+
+def symplectic_inverse(m):
+    """m^-1 = J^-1 m^T J for m with m^T J m = J."""
+    j = tuple(tuple(omega(IDENTITY6[r], IDENTITY6[c]) for c in range(RANK)) for r in range(RANK))
+    return matmul(matmul(tuple(tuple(-x for x in row) for row in j), transpose(m)), j)
+
+
+def is_symplectic(m) -> bool:
+    cols = transpose(m)
+    return all(omega(cols[i], cols[j]) == omega(IDENTITY6[i], IDENTITY6[j])
+               for i in range(RANK) for j in range(RANK))
+
+
+A1, B1, A2 = IDENTITY6[0], IDENTITY6[1], IDENTITY6[2]
+T2_CLASS = B1
+A3_CLASS = tuple(x - y for x, y in zip(A1, A2))
+CURVE_CLASS = {
+    "a1": A1, "a2": T2_CLASS, "a3": A3_CLASS, "a4": A2, "a5": A2,
+    "alpha": apply(twist_matrix(T2_CLASS, 2), A3_CLASS),
+    "beta": apply(twist_matrix(T2_CLASS, 3), A3_CLASS),
+}
+
+
+def symplectic_value(word: TwistWord, cfg, mappings, reverse: bool = False):
+    """The product M(s1)...M(sn), or M(sn)...M(s1) with ``reverse``."""
+    out = IDENTITY6
+    for name, sign in word.symbols:
+        if name in mappings:
+            m = mappings[name] if sign > 0 else symplectic_inverse(mappings[name])
+        else:
+            m = twist_matrix(CURVE_CLASS[cfg.curve_of_twist[name]], sign)
+        out = matmul(m, out) if reverse else matmul(out, m)
+    return out
+
+
+def _certificate_replay():
+    text = resources.files("twistscl").joinpath("data/tenth_power_certificate.script").read_text()
+    script, cfg = parse_script(text, CFG)
+    report = check_script(script, cfg)
+    assert report.accepted and len(report.records) == 47
+    return script, cfg, [script.source] + [record.word for record in report.records]
+
+
+def test_symplectic_mappings_are_symplectic_and_send_each_curve_to_its_image():
+    _, cfg, _ = _certificate_replay()
+    for name, m in (("g", SYMPLECTIC_G), ("h", SYMPLECTIC_H)):
+        assert is_symplectic(m), name
+        assert matmul(m, symplectic_inverse(m)) == IDENTITY6, name
+        for curve, image in cfg.mappings[name].mapping:
+            # a curve is unoriented, so its class is defined up to sign
+            sent, wanted = apply(m, CURVE_CLASS[curve]), CURVE_CLASS[image]
+            assert sent in (wanted, tuple(-x for x in wanted)), (name, curve)
+
+
+def test_every_word_of_the_certificate_replay_is_t2_to_the_tenth_in_homology():
+    script, cfg, words = _certificate_replay()
+    target = twist_matrix(T2_CLASS, 10)
+    assert target != IDENTITY6
+    assert symplectic_value(script.claimed, cfg, {}) == target
+    mappings = {"g": SYMPLECTIC_G, "h": SYMPLECTIC_H}
+    values = [symplectic_value(word, cfg, mappings) for word in words]
+    assert [i for i, value in enumerate(values) if value != target] == []
+    with_mappings = [i for i, word in enumerate(words)
+                     if any(name in mappings for name, _ in word.symbols)]
+    assert with_mappings == list(range(6))  # the source and records 0-4
+    # the product taken in the other order fails most of them
+    reversed_values = [symplectic_value(word, cfg, mappings, True) for word in words]
+    assert sum(value == target for value in reversed_values) == 14
+
+
+def test_boundary_script_and_chain_relation_hold_in_homology():
+    text = resources.files("twistscl").joinpath("data/tenth_power.script").read_text()
+    script, cfg = parse_script(text, CFG)
+    assert symplectic_value(script.source, cfg, {}) == symplectic_value(script.claimed, cfg, {})
+    (left, right), = CFG.chain_relations
+    assert symplectic_value(left, CFG, {}) == symplectic_value(right, CFG, {})
+    cube = CFG.word("t1 t2 t3 t1 t2 t3 t1 t2 t3")
+    assert symplectic_value(left, CFG, {}) != symplectic_value(cube, CFG, {})
+
+
+@pytest.mark.parametrize("g, h", [
+    (IDENTITY6, SYMPLECTIC_H),
+    (SYMPLECTIC_H, SYMPLECTIC_G),
+    (transpose(SYMPLECTIC_G), transpose(SYMPLECTIC_H)),
+], ids=["G=I", "g-h-swapped", "transposed"])
+def test_a_wrong_symplectic_mapping_is_refuted(g, h):
+    """Only the 42 mapping-free words still equal t2^10."""
+    _, cfg, words = _certificate_replay()
+    target = twist_matrix(T2_CLASS, 10)
+    equal = [i for i, word in enumerate(words)
+             if symplectic_value(word, cfg, {"g": g, "h": h}) == target]
+    assert equal == list(range(6, 48))
+
+
 def test_reported_conjugator_carries_the_source_to_the_final_word():
     """An accepted script certifies final = C source C^-1 for the report's
     accumulated conjugator C, here checked in the model."""

@@ -42,7 +42,7 @@ def test_replay_and_inversion_record_their_move_spans():
     tracer = _load_tracer()
     trace = tracer.Tracer()
     config = twistscl.twists.default_configuration()
-    script = twistscl.certificates.boundary_pair_script(config)
+    script = twistscl.certificates.boundary_pair_script()
     trace.install(twistscl)
     try:
         assert twistscl.scripts.check_script(script, config).accepted

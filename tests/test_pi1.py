@@ -139,6 +139,37 @@ def test_mapping_symbols_are_unresolved():
         evaluate(cfg.word("g t1"), cfg)
 
 
+UNMODELED = "no modeled twist along 'a6'; model curves are a1..a5"
+
+
+@pytest.mark.parametrize("definitions, text", [
+    ({}, "t6"),
+    ({}, "t1^5 t6^-1 t1"),
+    ({"b": ("a1", TwistWord([("t6", 1)]))}, "tb"),   # a6 in the conjugator
+    ({"b": ("a6", TwistWord([("t1", 1)]))}, "t1 tb"),  # a6 as the base
+])
+def test_a_twist_the_model_lacks_is_refused_before_any_image(monkeypatch, definitions, text):
+    twists = {"a1": "t1", "a6": "t6", **({"b": "tb"} if definitions else {})}
+    cfg = CurveConfiguration(twists, frozenset(), frozenset(), (), definitions)
+    powers = []
+    monkeypatch.setattr(pi1, "_power", lambda *args: powers.append(args))
+    with pytest.raises(UnknownCurve) as err:
+        evaluate(cfg.word(text), cfg)
+    assert err.value.args == (UNMODELED,) and powers == []
+    with pytest.raises(UnknownCurve) as err:
+        twist_automorphism("a6")
+    assert err.value.args == (UNMODELED,)
+
+
+def test_a_twist_the_model_lacks_does_not_hide_a_mapping_symbol():
+    cfg = CurveConfiguration({"a1": "t1", "a6": "t6"}, frozenset(), frozenset(), (), {})
+    cfg = cfg.with_mapping(MappingSymbol("m", (("a1", "a6"),)))
+    with pytest.raises(UnresolvedSymbol, match="^symbol 'm' is not a twist in this configuration$"):
+        evaluate(cfg.word("t6 m t1"), cfg)
+    # a word that names only modeled curves still evaluates
+    assert evaluate(cfg.word("t1^2"), cfg) == twist_automorphism("a1", 2)
+
+
 def test_broken_model_fails_validation():
     """Mutation check: silence one twist and watch the braid relation die."""
     original = pi1._TWIST_TABLE["a1"]
