@@ -171,7 +171,7 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
 
     Mapping symbols have no model: the first one raises UnresolvedSymbol.
     Then a twist along a curve the model lacks, itself or in an expansion,
-    raises UnknownCurve, checked per distinct symbol before any image.
+    raises UnknownCurve, checked once per run before any image is built.
     Twists about defined curves (alpha, beta) are spelled out through
     ``config.expansions``, which names only undefined curves, and reduced
     with the rest of the word.  Each run of n equal symbols t is then one
@@ -184,15 +184,12 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
     for c in w._codes:
         if abs(c) not in curve_of:
             raise UnresolvedSymbol(f"symbol {name_of(c)!r} is not a twist in this configuration")
-    # Expansions name only undefined curves: with all of those modeled,
-    # every twist of the word is.
-    if not _TWIST_TABLE.keys() >= config.undefined_curves:
-        for c in dict.fromkeys(map(abs, w._codes)):  # distinct, in word order
-            for letter in expansions.get(c) or (c,):
-                _modeled(curve_of[abs(letter)])
+    runs = [(c, len(tuple(run)))
+            for c, run in groupby(join_all([expansions.get(c) or (c,) for c in w._codes]))]
+    for c, _ in runs:
+        _modeled(curve_of[abs(c)])
     images = _IDENTITY._codes
-    for c, run in groupby(join_all([expansions.get(c) or (c,) for c in w._codes])):
-        n = len(tuple(run))
+    for c, n in runs:
         images = _power(images, curve_of[abs(c)], n if c > 0 else -n)
     return Automorphism._raw(images)
 

@@ -133,8 +133,6 @@ class CurveConfiguration:
     # and built once in ``__post_init__``.  ``curve_of_code`` (public) maps
     # a twist symbol's positive code to its curve.
     curve_of_code: dict[int, str] = field(init=False, repr=False, compare=False)
-    # The curves without a definition: all an expansion may name.
-    undefined_curves: frozenset[str] = field(init=False, repr=False, compare=False)
     _code_of_symbol: dict[str, int] = field(init=False, repr=False, compare=False)
     _pair_kind: dict[tuple[int, int], str] = field(init=False, repr=False, compare=False)
     # ``expansions[c]`` (public) spells the twist letter ``c`` of a defined
@@ -207,7 +205,6 @@ class CurveConfiguration:
         for attr, value in (
             ("curves", curves), ("curve_of_twist", curve_of_twist),
             ("curve_of_code", {c: curve for curve, c in twist_code.items()}),
-            ("undefined_curves", undefined),
             ("_code_of_symbol", code),
             ("_pair_kind", {(twist_code[c1], twist_code[c2]): kind
                             for (c1, c2), kind in pair_kind.items()}),

@@ -102,11 +102,18 @@ def test_random_derivations_preserve_the_model_value():
     assert set(applied) == set(MOVES), applied
 
 
-def test_shipped_script_preserves_the_model_value():
-    text = resources.files("twistscl").joinpath("data/tenth_power.script").read_text()
+def _shipped(name):
+    """The shipped script ``data/<name>``, parsed against CFG, with its
+    configuration and its accepted replay report."""
+    text = resources.files("twistscl").joinpath("data", name).read_text()
     script, cfg = parse_script(text, CFG)
     report = check_script(script, cfg)
     assert report.accepted
+    return script, cfg, report
+
+
+def test_shipped_script_preserves_the_model_value():
+    script, cfg, report = _shipped("tenth_power.script")
     source_aut = evaluate(script.source, CFG)
     checked = 0
     for record in report.records:
@@ -120,10 +127,8 @@ def test_shipped_script_preserves_the_model_value():
 def test_shipped_certificate_acts_like_its_claim_once_the_mappings_are_gone():
     """The tenth-power certificate's records without a mapping symbol (the
     model cannot evaluate one) all evaluate to t2^10."""
-    text = resources.files("twistscl").joinpath("data/tenth_power_certificate.script").read_text()
-    script, cfg = parse_script(text, CFG)
-    report = check_script(script, cfg)
-    assert report.accepted and report.value_preserving()
+    script, cfg, report = _shipped("tenth_power_certificate.script")
+    assert report.value_preserving()
     claim_aut = evaluate(script.claimed, CFG)
     checked = []
     for record in report.records:
@@ -210,10 +215,8 @@ def symplectic_value(word: TwistWord, cfg, mappings, reverse: bool = False):
 
 
 def _certificate_replay():
-    text = resources.files("twistscl").joinpath("data/tenth_power_certificate.script").read_text()
-    script, cfg = parse_script(text, CFG)
-    report = check_script(script, cfg)
-    assert report.accepted and len(report.records) == 47
+    script, cfg, report = _shipped("tenth_power_certificate.script")
+    assert len(report.records) == 47
     return script, cfg, [script.source] + [record.word for record in report.records]
 
 
@@ -245,8 +248,7 @@ def test_every_word_of_the_certificate_replay_is_t2_to_the_tenth_in_homology():
 
 
 def test_boundary_script_and_chain_relation_hold_in_homology():
-    text = resources.files("twistscl").joinpath("data/tenth_power.script").read_text()
-    script, cfg = parse_script(text, CFG)
+    script, cfg, _ = _shipped("tenth_power.script")
     assert symplectic_value(script.source, cfg, {}) == symplectic_value(script.claimed, cfg, {})
     (left, right), = CFG.chain_relations
     assert symplectic_value(left, CFG, {}) == symplectic_value(right, CFG, {})
