@@ -19,11 +19,11 @@ from fractions import Fraction
 from typing import Any, NamedTuple, Optional
 
 from . import bounds as bounds_mod
-from . import fibration
+from . import fibration, scripts
 from .commutators import ExpansionNotFound, _admit, bavard_expand, culler_expand
 from .certificates import boundary_pair_script, tenth_power_certificate
 from .pi1 import DISPLAYED_EQUALITY, equal_in_rep, validate_model
-from .scripts import check_script, parse_script, read_lines
+from .scripts import check_script, parse_script
 from .twists import default_configuration
 from .words import Word
 
@@ -129,7 +129,8 @@ def _cmd_verify(args) -> _Outcome:
 
 def _cmd_check_script(args) -> _Outcome:
     with open(args.file, encoding="utf-8") as f:
-        script, cfg = parse_script(read_lines(f), default_configuration())
+        text = f.read(scripts.MAX_SCRIPT_CHARS + 1)
+    script, cfg = parse_script(text, default_configuration())
     report = check_script(script, cfg)
     details: dict[str, Any] = {
         "file": args.file,

@@ -28,15 +28,14 @@ its bindings at most MAX_REPLAY_SYMBOLS symbols in all, and its ``map``
 lines at most ``twists.MAX_MAPPINGS`` mapping symbols.  A replay's
 records and the data of its ``conjugate-equation`` steps, which make up
 the conjugator, hold at most MAX_REPLAY_SYMBOLS symbols in all.
-``parse_script`` reads the text, or a file's ``read_lines``, one line at
-a time, so no line past a refused one is read, and a file past
-MAX_SCRIPT_CHARS characters is refused without reading further.
+``parse_script`` refuses a text past MAX_SCRIPT_CHARS characters before
+it reads a line, and reads no line past a refused one.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
+from typing import NamedTuple, Optional
 
 from .twists import (
     CurveConfiguration,
@@ -61,10 +60,10 @@ MAX_REPLAY_SYMBOLS = 10**7
 # parsing, before its step is built.
 MAX_SCRIPT_STEPS = 10**5
 
-# Most characters ``read_lines`` reads from one file, which may never end
-# (``/dev/zero`` is one endless line) and whose blank lines no other budget
-# counts: room for MAX_SCRIPT_STEPS step lines of 40 characters, and 2**22
-# blank lines, the slowest input, are refused in 1-2 s (2-vCPU VM).
+# Most characters one script text may hold, whose blank lines no other
+# budget counts: room for MAX_SCRIPT_STEPS step lines of 40 characters.
+# A file, which may never end (``/dev/zero`` is one endless line), is read
+# at most one character past it.
 MAX_SCRIPT_CHARS = 2**22
 
 _MOVE_KINDS = frozenset(MOVE_KINDS)
@@ -141,22 +140,12 @@ class ScriptSyntaxError(ValueError):
         self.line_no = line_no
 
 
-def read_lines(file: TextIO) -> Iterator[str]:
-    """An open script file's lines, each read as the parser asks for it;
-    the read stops one character past MAX_SCRIPT_CHARS with ValueError."""
-    left = MAX_SCRIPT_CHARS
-    while line := file.readline(left + 1):
-        left -= len(line)
-        if left < 0:
-            raise ValueError(f"more than MAX_SCRIPT_CHARS = {MAX_SCRIPT_CHARS} characters")
-        yield line
-
-
-def parse_script(
-    text: str | Iterable[str], config: CurveConfiguration
-) -> tuple[ProofScript, CurveConfiguration]:
-    """Parse script text, or its lines as a text file yields them; returns
-    the script and the configuration extended by any ``map`` declarations."""
+def parse_script(text: str, config: CurveConfiguration) -> tuple[ProofScript, CurveConfiguration]:
+    """Parse script text; returns the script and the configuration extended
+    by any ``map`` declarations.  A text past MAX_SCRIPT_CHARS characters
+    raises ValueError before any line is read."""
+    if len(text) > MAX_SCRIPT_CHARS:
+        raise ValueError(f"more than MAX_SCRIPT_CHARS = {MAX_SCRIPT_CHARS} characters")
     bindings: dict[str, Codes] = {}  # each bound name's word
     held = 0  # symbols the bindings hold in all
     # The alphabet of the script's words: the bindings plus the latest
@@ -173,8 +162,7 @@ def parse_script(
     claimed: Optional[TwistWord] = None
     # Universal newlines (\n, \r\n, \r) and no others: str.splitlines would
     # also break at \x0b, \x1c and \x85, which split() reads as spaces.
-    lines = io.StringIO(text, newline=None) if isinstance(text, str) else text
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         # The line is stripped once: split(None) skips the whitespace
         # between fields, and data ends where the line does.
         line = raw.partition("#")[0].strip()
@@ -243,13 +231,9 @@ def parse_script(
     return ProofScript(TwistWord._raw(bindings["source"]), tuple(steps), claimed), config
 
 
-def serialize_script(
-    script: ProofScript, header: str = "", mappings: tuple[MappingSymbol, ...] = ()
-) -> str:
+def serialize_script(script: ProofScript, mappings: tuple[MappingSymbol, ...] = ()) -> str:
     """Render a script in the text format (bindings are not reconstructed)."""
     lines = []
-    if header:
-        lines.extend(f"# {h}".rstrip() for h in header.split("\n"))
     for symbol in mappings:
         pairs = " ".join(f"{c}->{d}" for c, d in symbol.mapping)
         lines.append(f"map {symbol.name} {pairs}")

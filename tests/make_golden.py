@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "tests"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
 
 from golden_cases import CASES  # noqa: E402
 

@@ -102,7 +102,7 @@ def test_tenth_power_script_is_parsed_once_and_replayed_on_every_call():
 
 def test_tenth_power_script_is_pinned_and_carries_the_boundary_script():
     script = tenth_power_certificate(CFG).script
-    text = serialize_script(script, "", standard_mappings())
+    text = serialize_script(script, mappings=standard_mappings())
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "cdf51c10f491564bf9d554e70a75d57e2cdefb79a05cfffcaa60cee36beeafde")
     core = boundary_pair_script()

@@ -152,6 +152,26 @@ def test_check_script_file_past_the_character_budget_is_refused(tmp_path, monkey
     assert error == f"more than MAX_SCRIPT_CHARS = {len(text)} characters"
 
 
+def test_check_script_file_past_the_budget_reports_the_budget_before_its_syntax(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(scripts, "MAX_SCRIPT_CHARS", 30)
+    script = tmp_path / "bad.script"
+    script.write_text("step\n".ljust(31, "\n"))  # line 1 is a syntax error
+    error = assert_refused(["check-script", str(script)], "check-script")
+    assert error == "more than MAX_SCRIPT_CHARS = 30 characters"
+
+
+def test_check_script_file_of_blank_lines_past_the_budget_is_refused_at_once(tmp_path):
+    script = tmp_path / "blank.script"
+    script.write_text("\n" * scripts.MAX_SCRIPT_CHARS + "let source = t1\nclaim t1\n")
+    start = time.perf_counter()
+    code, output = run_cli(["check-script", str(script), "--json"])
+    assert time.perf_counter() - start < 0.25
+    assert code == 2
+    assert json.loads(output)["details"]["error"] == (
+        f"more than MAX_SCRIPT_CHARS = {scripts.MAX_SCRIPT_CHARS} characters")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
 def test_check_script_of_an_endless_file_is_refused():
     error = assert_refused(["check-script", "/dev/zero"], "check-script")

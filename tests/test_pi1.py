@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -168,6 +169,38 @@ def test_a_twist_the_model_lacks_does_not_hide_a_mapping_symbol():
         evaluate(cfg.word("t6 m t1"), cfg)
     # a word that names only modeled curves still evaluates
     assert evaluate(cfg.word("t1^2"), cfg) == twist_automorphism("a1", 2)
+
+
+DISPLAYED = "displayed equality t4 a^-1 t5 t1^-1 = t2^4 (t1 t2^-1 b t2^-1) t2^6"
+_pairs = lambda *pairs: frozenset(frozenset(p) for p in pairs)
+_A6 = {"a1": "t1", "a6": "t6"}
+_MAPPED = CFG.with_mapping(MappingSymbol("g", (("a4", "a1"),)))
+_MAPPED = replace(_MAPPED, chain_relations=((_MAPPED.word("g t1"), _MAPPED.word("t1 g")),))
+
+
+@pytest.mark.parametrize("cfg, failures", [
+    (CurveConfiguration(_A6, _pairs(), _pairs(("a1", "a6")), (), {}),
+     ["disjoint a1,a6: twists commute", DISPLAYED, "t2^2 then t2^-2 restores the basis"]),
+    (CurveConfiguration(_A6, _pairs(("a1", "a6")), _pairs(), (), {}),
+     ["braid a1,a6", "braid a1,a6 is not a commutation", DISPLAYED,
+      "t2^2 then t2^-2 restores the basis"]),
+    (CurveConfiguration({"a1": "t1", "a2": "t2"}, _pairs(), _pairs(), (), {}), [DISPLAYED]),
+    (_MAPPED, ["chain g t1 = t1 g"]),
+], ids=["disjoint-a6", "braid-a6", "no-t4", "mapping-in-chain"])
+def test_a_check_the_model_or_configuration_cannot_state_fails(cfg, failures):
+    """A check naming a symbol the configuration lacks, or a symbol or curve
+    the model lacks, is reported as failed under its usual name instead of
+    raising."""
+    report = validate_model(cfg)
+    assert [c.name for c in report.failures()] == failures
+    # one per disjoint pair and chain relation, two per braid pair, and
+    # nine the configuration does not vary
+    assert len(report.checks) == (len(cfg.disjoint_pairs) + 2 * len(cfg.braid_pairs)
+                                  + len(cfg.chain_relations) + 9)
+    # the refusal a lacking curve raises elsewhere is a ValueError with plain text
+    with pytest.raises(ValueError) as err:
+        twist_automorphism("a6")
+    assert str(err.value) == UNMODELED
 
 
 def test_broken_model_fails_validation():

@@ -18,7 +18,6 @@ from twistscl.scripts import (
     StepRecord,
     check_script,
     parse_script,
-    read_lines,
     serialize_script,
 )
 from twistscl.twists import (
@@ -178,8 +177,8 @@ def test_serialized_header_and_mappings_parse_back():
     cfg = CFG.with_mapping(g).with_mapping(h)
     script = ProofScript(
         cfg.word("g t4 g^-1 h"), (Step("twist-naturality", 0, "g"),), cfg.word("t1 h"))
-    text = serialize_script(script, header="round trip\n\nof a script", mappings=(g, h))
-    assert text.startswith("# round trip\n#\n# of a script\nmap g a4->a1 alpha->a5\n")
+    text = serialize_script(script, mappings=(g, h))
+    assert text.startswith("map g a4->a1 alpha->a5\n")
     parsed, parsed_cfg = parse_script(text, CFG)
     assert parsed == script
     assert parsed_cfg.mappings == {"g": g, "h": h}
@@ -300,24 +299,15 @@ def test_script_past_the_real_step_budget_is_refused_while_parsing():
     assert str(err.value).endswith(f"more than MAX_SCRIPT_STEPS = {MAX_SCRIPT_STEPS} steps")
 
 
-def test_a_refused_line_is_the_last_line_read():
-    def lines():
-        yield "let source = t1\n"
-        yield "step\n"
-        raise AssertionError("read past the refused line")
-
-    with pytest.raises(ScriptSyntaxError) as err:
-        parse_script(lines(), CFG)
-    assert err.value.line_no == 2
-
-
-def test_read_lines_stops_one_character_past_the_budget(monkeypatch):
-    monkeypatch.setattr(scripts, "MAX_SCRIPT_CHARS", 10)
-    assert list(read_lines(io.StringIO("let a\nbcd\n"))) == ["let a\n", "bcd\n"]
-    endless = io.StringIO("x" * 100)
-    with pytest.raises(ValueError, match="^more than MAX_SCRIPT_CHARS = 10 characters$"):
-        list(read_lines(endless))
-    assert endless.tell() == 11
+def test_a_text_past_the_character_budget_is_refused_before_its_first_line(monkeypatch):
+    text = "let source = t1\nclaim t1\n"
+    monkeypatch.setattr(scripts, "MAX_SCRIPT_CHARS", len(text))
+    assert parse_script(text, CFG)[0].claimed == W("t1")
+    bad = "step\n".ljust(len(text) + 1, "\n")  # line 1 is a syntax error
+    with pytest.raises(ValueError) as err:
+        parse_script(bad, CFG)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"more than MAX_SCRIPT_CHARS = {len(text)} characters"
 
 
 def test_chained_bindings_parse_in_linear_time():
