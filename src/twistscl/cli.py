@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 from . import bounds as bounds_mod
 from . import fibration, scripts
@@ -43,29 +43,17 @@ def _fields(result) -> dict[str, Any]:
 _EXIT_CODES = {"ok": 0, "fail": 1, "refused": 2}
 
 
-class Report(NamedTuple):
-    command: str
-    status: str
-    details: dict[str, Any]
-    certificate: Optional[dict[str, Any]] = None
-
-    def to_json(self) -> str:
-        payload: dict[str, Any] = {
-            "command": self.command,
-            "status": self.status,
-            "details": self.details,
-        }
-        if self.certificate is not None:
-            payload["certificate"] = self.certificate
+def _render(command, as_json, status, details, certificate=None) -> str:
+    """One report, as one canonical JSON line or as indented text."""
+    if as_json:
+        payload = {"command": command, "status": status, "details": details}
+        if certificate is not None:
+            payload["certificate"] = certificate
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    def to_text(self) -> str:
-        lines = [f"[{self.status}] {self.command}"]
-        for key in sorted(self.details):
-            lines.append(f"  {key}: {self.details[key]}")
-        if self.certificate is not None:
-            lines.append(f"  certificate: {json.dumps(self.certificate, sort_keys=True)}")
-        return "\n".join(lines)
+    lines = [f"[{status}] {command}", *(f"  {key}: {details[key]}" for key in sorted(details))]
+    if certificate is not None:
+        lines.append(f"  certificate: {json.dumps(certificate, sort_keys=True)}")
+    return "\n".join(lines)
 
 
 # What a subcommand returns: its status, its details and an optional
@@ -234,57 +222,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of Dehn-twist commutator identities "
                     "and stable-commutator-length bounds.",
     )
-    def command(subparsers, name, json_default=False, **kwargs) -> argparse.ArgumentParser:
-        p = subparsers.add_parser(name, **kwargs)
+    def command(parent, name, func=None, json_default=False, **kwargs) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", default=json_default,
                        help="emit one canonical JSON report per line")
+        if func is not None:
+            p.set_defaults(func=func)
         return p
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = command(sub, "verify", help="run a built-in verification")
+    p = command(sub, "verify", _cmd_verify, help="run a built-in verification")
     p.add_argument("what", choices=("relations", "tenth-power"))
-    p.set_defaults(func=_cmd_verify)
 
-    p = command(sub, "check-script", help="replay a proof script file")
+    p = command(sub, "check-script", _cmd_check_script, help="replay a proof script file")
     p.add_argument("file")
     p.add_argument("--trace", action="store_true",
                    help="include every intermediate word in the report")
-    p.set_defaults(func=_cmd_check_script)
 
-    p = command(sub, "expand", help="certified commutator expansions of powers")
+    p = command(sub, "expand", _cmd_expand, help="certified commutator expansions of powers")
     exp_sub = p.add_subparsers(dest="mode", required=True)
     for mode in ("culler", "bavard"):
         # A subparser's defaults overwrite what its parent parsed, so the
         # expand modes leave ``json`` unset unless given: ``expand --json
         # culler`` and ``expand culler --json`` both print JSON.
-        pm = command(exp_sub, mode, argparse.SUPPRESS)
+        pm = command(exp_sub, mode, json_default=argparse.SUPPRESS)
         if mode == "bavard":
             pm.add_argument("--r", type=int, required=True)
         pm.add_argument("--k", type=int, required=True)
         pm.add_argument("--emit", action="store_true", help="embed the factor words")
-    p.set_defaults(func=_cmd_expand)
 
-    p = command(sub, "bounds", help="stable-commutator-length bound table")
+    p = command(sub, "bounds", _cmd_bounds, help="stable-commutator-length bound table")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--punctures", type=int, default=0)
     p.add_argument("--boundary", type=int, default=0)
     p.add_argument("--curve", choices=bounds_mod.CURVE_KINDS, default="nonseparating")
     p.add_argument("--side-genus", type=int, default=None,
                    help="smaller-side genus of a separating curve")
-    p.set_defaults(func=_cmd_bounds)
 
-    p = command(sub, "numerology", help="fibration invariant ledger and contradiction search")
+    p = command(sub, "numerology", _cmd_numerology,
+                help="fibration invariant ledger and contradiction search")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--r", required=True, help="rational ratio, e.g. 1/49")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
     group.add_argument("--find-n", action="store_true")
-    p.set_defaults(func=_cmd_numerology)
 
-    p = command(sub, "matrix", help="tridiagonal intersection form and its minors")
+    p = command(sub, "matrix", _cmd_matrix, help="tridiagonal intersection form and its minors")
     p.add_argument("--size", type=int, required=True)
-    p.set_defaults(func=_cmd_matrix)
 
     return parser
 
@@ -292,22 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = " ".join([args.command, *(getattr(args, a) for a in ("mode", "what") if a in args)])
-    render = lambda report: report.to_json() if args.json else report.to_text()
     # Rendering is inside the refusal path: a report can hold an int too
     # long for Python to print.
     try:
-        report = Report(command, *args.func(args))
-        text = render(report)
+        status, details, certificate = args.func(args)
+        text = _render(command, args.json, status, details, certificate)
     except (ValueError, OSError, ExpansionNotFound) as err:
-        report = Report(command, "refused", {"error": str(err)})
-        text = render(report)
+        status = "refused"
+        text = _render(command, args.json, status, {"error": str(err)})
     try:
         print(text, flush=True)
     except BrokenPipeError:
         # The reader closed the pipe.  Point stdout at the null device, so
         # the interpreter's final flush of what is left is silent too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return _EXIT_CODES[report.status]
+    return _EXIT_CODES[status]
 
 
 if __name__ == "__main__":

@@ -184,13 +184,11 @@ def evaluate(w: TwistWord, config: Optional[CurveConfiguration] = None) -> Autom
     for c in w._codes:
         if abs(c) not in curve_of:
             raise UnresolvedSymbol(f"symbol {name_of(c)!r} is not a twist in this configuration")
-    runs = [(c, len(tuple(run)))
+    runs = [(_modeled(curve_of[abs(c)]), len(tuple(run)) * (1 if c > 0 else -1))
             for c, run in groupby(join_all([expansions.get(c) or (c,) for c in w._codes]))]
-    for c, _ in runs:
-        _modeled(curve_of[abs(c)])
     images = _IDENTITY._codes
-    for c, n in runs:
-        images = _power(images, curve_of[abs(c)], n if c > 0 else -n)
+    for curve, n in runs:
+        images = _power(images, curve, n)
     return Automorphism._raw(images)
 
 

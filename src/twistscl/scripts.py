@@ -47,7 +47,7 @@ from .twists import (
     _new_tuple,
     apply_step,
 )
-from .words import Codes, free_reduce, is_name, join_all, parse_letters
+from .words import Codes, free_reduce, is_name, parse_letters
 
 # Most symbols a replay's records and conjugators may hold in all, summed
 # over every intermediate word and every conjugate-equation step's data,
@@ -103,7 +103,7 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
     word: Optional[TwistWord] = script.source
     records: list[StepRecord] = []
     held = 0
-    # Each conjugate-equation step's reduced data D; a step makes C into D C.
+    # Each conjugate-equation step's data D; a step makes C into D C.
     conjugations: list[Codes] = []
     failure: Optional[tuple[int, str]] = None
     for i, step in enumerate(script.steps):
@@ -113,9 +113,8 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
             word, failure = None, (i, str(err))
             break
         if step.move == "conjugate-equation":
-            data = TwistWord.parse(step.data, config)._codes
-            held += len(data)
-            conjugations.append(free_reduce(data))
+            conjugations.append(TwistWord.parse(step.data, config)._codes)
+            held += len(conjugations[-1])
         held += len(word._codes)
         if held > MAX_REPLAY_SYMBOLS:
             raise ValueError(f"step {i}: replay holds more than "
@@ -126,7 +125,7 @@ def check_script(script: ProofScript, config: CurveConfiguration) -> DerivationR
             failure = (len(script.steps), f"final word {word} differs from the claim")
     return DerivationReport(
         failure is None, script.source, script.claimed, word, tuple(records),
-        failure, TwistWord._raw(join_all(reversed(conjugations))),
+        failure, TwistWord._raw(free_reduce([c for d in reversed(conjugations) for c in d])),
     )
 
 

@@ -295,6 +295,18 @@ def test_expand_culler_beyond_table_is_refused():
     assert "odd k <= 41" in error
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda pairs: [pairs[0][::-1], *pairs[1:]], "certification failed for r=1, k=3"),
+    (lambda pairs: [*pairs, (Word.generator("x"),) * 2], "wrong factor count for r=1, k=3"),
+], ids=["swapped-pair", "extra-factor"])
+def test_expansion_failing_its_certificate_is_refused(monkeypatch, corrupt, message):
+    witnesses = commutators._witnesses
+    monkeypatch.setattr(commutators, "_witnesses", lambda k: corrupt(witnesses(k)))
+    with pytest.raises(commutators.ExpansionNotFound, match=f"^{message}$"):
+        commutators.culler_expand(Word.generator("x"), Word.generator("y"), 3)
+    assert assert_refused(["expand", "culler", "--k", "3"], "expand culler") == message
+
+
 def test_expand_bavard_one_factor_above_the_budget_is_refused():
     r = MAX_EXPANSION_FACTORS + 1
     error = assert_refused(["expand", "bavard", "--r", str(r), "--k", "1"], "expand bavard")
@@ -503,6 +515,7 @@ def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "twistscl", "matrix", "--size", "3", "--json"],
         capture_output=True, text=True, cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     assert result.returncode == 0
     payload = json.loads(result.stdout)

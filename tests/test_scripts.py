@@ -171,7 +171,7 @@ def test_parser_rejects_malformed_scripts(bad, message):
     assert message in str(err.value)
 
 
-def test_serialized_header_and_mappings_parse_back():
+def test_serialized_mappings_parse_back():
     g = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
     h = MappingSymbol("h", (("a1", "a2"), ("a2", "beta")))
     cfg = CFG.with_mapping(g).with_mapping(h)
@@ -389,6 +389,20 @@ def test_conjugator_is_the_reduced_product_of_the_conjugations():
         for step in steps:
             conjugator = (W(step.data) * conjugator).reduce()
         assert report.conjugator == conjugator, steps
+
+
+def test_the_conjugator_is_reduced_once_after_the_replay(monkeypatch):
+    calls = []
+    reduce = scripts.free_reduce
+    monkeypatch.setattr(scripts, "free_reduce", lambda codes: calls.append(1) or reduce(codes))
+    script, cfg = parse_script(_conjugations("t1 t2^-1", 3), CFG)
+    monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 5)
+    with pytest.raises(ValueError, match="^step 2: "):
+        check_script(script, cfg)
+    assert calls == []
+    monkeypatch.setattr(scripts, "MAX_REPLAY_SYMBOLS", 6)
+    assert str(check_script(script, cfg).conjugator) == "t1 t2^-1 t1 t2^-1 t1 t2^-1"
+    assert calls == [1]
 
 
 def test_copied_bindings_past_the_real_symbol_budget_are_refused():
