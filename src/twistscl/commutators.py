@@ -9,6 +9,7 @@ the checker accepts it.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -16,6 +17,14 @@ from .bounds import cl_upper
 from .words import (
     Word, commutator, cyclic_split, inverse_letters, join_all, multiply, parse_word, substitute,
 )
+
+# Most factors one Bavard expansion may have.
+MAX_EXPANSION_FACTORS = 10_000
+# Longest cyclically reduced core with zero exponent sums that
+# ``as_commutator`` searches; its search grows about as n^2.4.
+MAX_COMMUTATOR_LETTERS = 1_024
+# Most letters the factors of one ``shuffle_expand`` may hold.
+MAX_SHUFFLE_LETTERS = 10**7
 
 
 class ExpansionNotFound(Exception):
@@ -77,9 +86,13 @@ def as_commutator(w: Word) -> Optional[tuple[Word, Word]]:
 
     A cyclically reduced word is a commutator exactly when some rotation
     of it reads ``X Y Z X^-1 Y^-1 Z^-1`` for subwords X, Y, Z (possibly
-    empty); that rotation equals ``[X Y, Z X^-1]``.  The search tries
-    every rotation and every split, so a None answer is a genuine "no"
-    and any (p, q) returned satisfies ``[p, q] == w`` by construction
+    empty); that rotation equals ``[X Y, Z X^-1]`` (Wicks, 1962).  A core
+    with a nonzero exponent sum is answered None in one pass (commutators
+    have all sums zero, and conjugation keeps them); a zero-sum core past
+    ``MAX_COMMUTATOR_LETTERS`` raises ValueError before any search.  The
+    search tries every rotation and split, and each slice test compares
+    the one letter where it would fail before it builds slices, so None
+    is a genuine "no" and any (p, q) returned satisfies ``[p, q] == w``
     (re-checked before returning).
     """
     # Peel conjugation down to the cyclic reduction: w = g * core * g^-1.
@@ -87,29 +100,44 @@ def as_commutator(w: Word) -> Optional[tuple[Word, Word]]:
 
     if not core:
         return Word.identity(), Word.identity()
-    n = len(core)
-    if n % 2 != 0:
+    counts = Counter(core)
+    if any(counts[c] != counts[-c] for c in counts):
         return None
+    n = len(core)
+    if n > MAX_COMMUTATOR_LETTERS:
+        raise ValueError(f"a cyclically reduced core of {n} letters is longer than "
+                         f"MAX_COMMUTATOR_LETTERS = {MAX_COMMUTATOR_LETTERS}")
     h = n // 2
 
     doubled = core + core
-    # window[a:b] inverted is flipped[e - b : e - a], with e = 2n - rot.
+    # The rotation by rot is doubled[rot : rot + n] = d^-1 core d, with
+    # d = core[:rot].  Its slice [a:b] inverted is flipped[e - b : e - a],
+    # with e = 2n - rot, and its letter i inverted is -doubled[rot + i].
     flipped = inverse_letters(doubled)
     for rot in range(n):
-        window = doubled[rot : rot + n]
-        e = 2 * n - rot
-        # d^-1 * core-rotation: core = d * window * d^-1 with d = core[:rot].
+        mid, end, e = rot + h, rot + n, 2 * n - rot
+        x_head, z_head = -doubled[mid], -doubled[mid - 1]
         for x in range(h + 1):
-            if window[h : h + x] != flipped[e - x : e]:
+            # X^-1 starts at mid, and its first letter inverts X's last.
+            if x and (doubled[rot + x - 1] != x_head
+                      or doubled[mid : mid + x] != flipped[e - x : e]):
                 continue
+            y_start = mid + x
+            y_head = -doubled[y_start]
             for y in range(h - x + 1):
-                if window[h + x : h + x + y] != flipped[e - x - y : e - x]:
+                # Y^-1 follows, then Z^-1 up to the end, whose first letter
+                # inverts Z's last, the one before mid.
+                if y and (doubled[rot + x + y - 1] != y_head
+                          or doubled[y_start : y_start + y] != flipped[e - x - y : e - x]):
                     continue
-                if window[h + x + y : n] != flipped[e - h : e - x - y]:
+                z_start = y_start + y
+                if z_start < end and (doubled[z_start] != z_head
+                                      or doubled[z_start:end] != flipped[e - h : e - x - y]):
                     continue
                 conj = Word._raw(g + core[:rot])  # a prefix of w, so reduced
-                p = Word._raw(window[0 : x + y]).conjugate(conj)
-                q = (Word._raw(window[x + y : h]) * ~Word._raw(window[0:x])).conjugate(conj)
+                p = Word._raw(doubled[rot : rot + x + y]).conjugate(conj)
+                q = Word._raw(doubled[rot + x + y : mid]) * ~Word._raw(doubled[rot : rot + x])
+                q = q.conjugate(conj)
                 if commutator(p, q) == w:
                     return p, q
     return None
@@ -123,9 +151,16 @@ def shuffle_expand(u: Word, v: Word, k: int) -> list[Word]:
     """Split ``(u v)^k`` into k conjugates ``u^i v u^-i`` followed by ``u^k``.
 
     The returned k+1 words multiply back to ``(u v)^k`` by telescoping.
+    They hold at most k(k+1)|u| + k(|u| + |v|) letters; a request whose
+    bound, plus one for each of its k+1 words, passes
+    ``MAX_SHUFFLE_LETTERS`` is refused before any power is built.
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
+    letters = k * (k + 1) * len(u) + k * (len(u) + len(v))
+    if letters + k + 1 > MAX_SHUFFLE_LETTERS:
+        raise ValueError(f"k={k} needs up to {letters} letters in {k + 1} words, more than "
+                         f"MAX_SHUFFLE_LETTERS = {MAX_SHUFFLE_LETTERS}")
     factors = [v.conjugate(u ** i) for i in range(1, k + 1)]
     factors.append(u ** k)
     return factors
@@ -151,8 +186,6 @@ def shuffle_expand(u: Word, v: Word, k: int) -> list[Word]:
 # table stays although closed forms are known: their factor values grow
 # linearly with the factor index, so certifying k = 41 reads 1.5-2.5
 # times the table's letters, whose junctions stay bounded.
-
-MAX_EXPANSION_FACTORS = 10_000
 
 
 @cache

@@ -8,7 +8,9 @@ import pytest
 from twistscl.words import Word, commutator, generators, multiply, parse_word
 from twistscl.bounds import cl_upper
 from twistscl.commutators import (
+    MAX_COMMUTATOR_LETTERS,
     MAX_EXPANSION_FACTORS,
+    MAX_SHUFFLE_LETTERS,
     ExpansionNotFound,
     _witnesses,
     as_commutator,
@@ -143,6 +145,26 @@ def test_shuffle_rejects_k0():
     u, v = generators("u", "v")
     with pytest.raises(ValueError):
         shuffle_expand(u, v, 0)
+
+
+def test_shuffle_refuses_a_request_past_the_letter_budget_before_any_power(monkeypatch):
+    import twistscl.commutators as commutators
+
+    u, v = parse_word("x^2"), parse_word("y")
+    # Nothing cancels, so the 8 words for k = 7 hold exactly
+    # 7*8*2 + 7*3 = 133 letters; the budget counts one more per word.
+    monkeypatch.setattr(commutators, "MAX_SHUFFLE_LETTERS", 141)
+    factors = shuffle_expand(u, v, 7)
+    assert sum(map(len, factors)) + len(factors) == 141
+
+    monkeypatch.setattr(Word, "__pow__", _no_words)
+    monkeypatch.setattr(commutators, "MAX_SHUFFLE_LETTERS", 140)
+    with pytest.raises(ValueError, match="MAX_SHUFFLE_LETTERS = 140"):
+        shuffle_expand(u, v, 7)
+    monkeypatch.setattr(commutators, "MAX_SHUFFLE_LETTERS", MAX_SHUFFLE_LETTERS)
+    for a, b, k in ((u, v, 10 ** 6), (Word.identity(), Word.identity(), 10 ** 8)):
+        with pytest.raises(ValueError, match=f"MAX_SHUFFLE_LETTERS = {MAX_SHUFFLE_LETTERS}"):
+            shuffle_expand(a, b, k)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +499,10 @@ def test_bavard_check_reads_each_run_conjugator_once(monkeypatch):
 
 def test_as_commutator_answers_match_the_rebuilding_search():
     rng = random.Random(20261021)
-    words = [w for w in all_reduced_words("xy", 6) if len(w) % 2 == 0]
+    words = [w for w in all_reduced_words("xy", 8) if len(w) % 2 == 0]
+    assert len(words) == 9841  # the identity and every reduced word of 2-8 letters
     found = 0
-    while len(words) < 1093 + 300:
+    while len(words) < 9841 + 300:
         if rng.random() < 0.5:
             p = random_word(rng, rng.randint(1, 5), "xyz")
             q = random_word(rng, rng.randint(1, 5), "xyz")
@@ -494,3 +517,30 @@ def test_as_commutator_answers_match_the_rebuilding_search():
         found += got is not None
     # Both answers are exercised: found pairs and genuine refusals.
     assert found >= 150 and len(words) - found >= 500, found
+
+
+def test_a_nonzero_exponent_sum_is_answered_without_a_search(monkeypatch):
+    import twistscl.commutators as commutators
+
+    w = _reduced_word(random.Random(4096), 4096)
+    assert any(sum(sign for name, sign in w if name == g) for g in "abcd")
+    monkeypatch.setattr(commutators, "commutator", _no_words)
+    assert as_commutator(w) is None
+    assert as_commutator(parse_word("x y x^-1")) is None  # odd length: a sum of 1
+
+
+def test_as_commutator_refuses_a_zero_sum_core_past_the_budget_before_searching(monkeypatch):
+    import twistscl.commutators as commutators
+
+    half = MAX_COMMUTATOR_LETTERS // 4
+    # [a^half, b^half] conjugated by c^9: the core is the budget, w is longer.
+    at_budget = commutator(parse_word(f"a^{half}"), parse_word(f"b^{half}"))
+    at_budget = at_budget.conjugate(parse_word("c^9"))
+    got = as_commutator(at_budget)
+    assert got is not None and commutator(*got) == at_budget
+    # Zero-sum cores have even length, so the shortest one past the budget
+    # has two letters more.
+    past = commutator(parse_word(f"a^{half + 1}"), parse_word(f"b^{half}"))
+    monkeypatch.setattr(commutators, "inverse_letters", _no_words)
+    with pytest.raises(ValueError, match=f"MAX_COMMUTATOR_LETTERS = {MAX_COMMUTATOR_LETTERS}"):
+        as_commutator(past)
