@@ -34,8 +34,8 @@ it reads a line, and reads no line past a refused one.
 
 from __future__ import annotations
 
-import io
-from typing import NamedTuple, Optional
+import re
+from typing import Iterator, NamedTuple, Optional
 
 from .twists import (
     CurveConfiguration,
@@ -67,6 +67,11 @@ MAX_SCRIPT_STEPS = 10**5
 MAX_SCRIPT_CHARS = 2**22
 
 _MOVE_KINDS = frozenset(MOVE_KINDS)
+
+# A line ends at CR LF, CR or LF; ``parse_script`` splits a text this many
+# characters (and the rest of a line) at a time.
+_LINE_END = re.compile(r"\r\n?|\n")
+_SPLIT_CHARS = 2**16
 
 
 class ProofScript(NamedTuple):
@@ -139,6 +144,23 @@ class ScriptSyntaxError(ValueError):
         self.line_no = line_no
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each ended by LF, CR LF or CR (left off).  The
+    text is split about _SPLIT_CHARS characters at a time, each piece cut
+    just after a line end, so no second copy of the whole text is held.
+    These are the universal newlines and no others: str.splitlines would
+    also break at \x0b, \x1c and \x85, which split() reads as spaces."""
+    start = 0
+    while start < len(text):
+        cut = _LINE_END.search(text, start + _SPLIT_CHARS)
+        stop = cut.end() if cut else len(text)
+        lines = text[start:stop].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not lines[-1]:  # the piece's last line end
+            lines.pop()
+        yield from lines
+        start = stop
+
+
 def parse_script(text: str, config: CurveConfiguration) -> tuple[ProofScript, CurveConfiguration]:
     """Parse script text; returns the script and the configuration extended
     by any ``map`` declarations.  A text past MAX_SCRIPT_CHARS characters
@@ -159,9 +181,7 @@ def parse_script(text: str, config: CurveConfiguration) -> tuple[ProofScript, Cu
 
     steps: list[Step] = []
     claimed: Optional[TwistWord] = None
-    # Universal newlines (\n, \r\n, \r) and no others: str.splitlines would
-    # also break at \x0b, \x1c and \x85, which split() reads as spaces.
-    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         # The line is stripped once: split(None) skips the whitespace
         # between fields, and data ends where the line does.
         line = raw.partition("#")[0].strip()

@@ -139,6 +139,52 @@ def test_parser_crlf_normalization():
     assert check_script(script, cfg).accepted
 
 
+# CR LF, CR and LF in one text, with NEL (\x85) between two fields.
+MIXED_ENDINGS = ("let u = t1\x85t2^-1\r\n"
+                 "# a comment\r"
+                 "let source = u\x85t3\n"
+                 "\r\n"
+                 "step conjugate-equation @0 t4\x85t5^-1\r"
+                 "step free-insert @2\x85t1 # note\r\n"
+                 "claim t4 t5^-1 t1 t1^-1 t1 t2^-1 t3 t5 t4^-1\n")
+
+
+def test_mixed_line_endings_keep_lines_and_fields():
+    script, cfg = parse_script(MIXED_ENDINGS, CFG)
+    assert script == ProofScript(
+        W("t1 t2^-1 t3"),
+        (Step("conjugate-equation", 0, "t4\x85t5^-1"), Step("free-insert", 2, "t1")),
+        W("t4 t5^-1 t1 t1^-1 t1 t2^-1 t3 t5 t4^-1"),
+    )
+    report = check_script(script, cfg)
+    assert report.accepted and report.conjugator == W("t4 t5^-1")
+
+
+@pytest.mark.parametrize("old, new, line_no, message", [
+    ("@2", "@x", 6, "bad position '@x'"),
+    ("claim", "clam", 7, "unknown directive 'clam'"),
+    ("u\x85t3", "u\x85t9", 3, "unknown symbol 't9'"),
+    ("t3\n", "t3\n\rclaim 1\r\n", 9, "duplicate claim"),
+])
+def test_mixed_line_endings_number_refusals_by_line(old, new, line_no, message):
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script(MIXED_ENDINGS.replace(old, new), CFG)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("split_chars", [1, 2, 3, scripts._SPLIT_CHARS])
+def test_lines_are_split_at_universal_newlines_only(monkeypatch, split_chars):
+    """Whatever the piece size, even one that cuts between CR and LF."""
+    monkeypatch.setattr(scripts, "_SPLIT_CHARS", split_chars)
+    rng = random.Random(85)
+    pieces = ("a", "#", " ", "\r", "\n", "\r\n", "\x85", "\x0b", "\x1c")
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+        universal = io.StringIO(text, newline=None)
+        assert list(scripts._lines(text)) == [line.removesuffix("\n") for line in universal]
+
+
 @pytest.mark.parametrize("bad, message", [
     ("claim t1", "must bind `source`"),
     ("let source = t1", "must end with a claim"),
