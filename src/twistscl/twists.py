@@ -20,8 +20,8 @@ from .words import (
     Codes,
     CodedWord,
     Letter,
+    _new_object,
     _set_codes,
-    code_of_token,
     encode,
     format_letters,
     free_reduce,
@@ -131,9 +131,11 @@ class CurveConfiguration:
     curve_of_twist: dict[str, str] = field(init=False, default_factory=dict)
     # Tables the moves and ``pi1.evaluate`` look up, keyed by ``words`` code
     # and built once in ``__post_init__``.  ``curve_of_code`` (public) maps
-    # a twist symbol's positive code to its curve.
+    # a twist symbol's positive code to its curve; ``_code_of_token`` reads
+    # back each symbol's printed token, both signs, as its letter.
     curve_of_code: dict[int, str] = field(init=False, repr=False, compare=False)
     _code_of_symbol: dict[str, int] = field(init=False, repr=False, compare=False)
+    _code_of_token: dict[str, int] = field(init=False, repr=False, compare=False)
     _pair_kind: dict[tuple[int, int], str] = field(init=False, repr=False, compare=False)
     # ``expansions[c]`` (public) spells the twist letter ``c`` of a defined
     # curve as ``by t^sign by^-1``; definition-substitute and ``pi1.evaluate``
@@ -206,6 +208,8 @@ class CurveConfiguration:
             ("curves", curves), ("curve_of_twist", curve_of_twist),
             ("curve_of_code", {c: curve for curve, c in twist_code.items()}),
             ("_code_of_symbol", code),
+            # a name is its own token; its inverse is spelled by the printer
+            ("_code_of_token", {**code, **{token_of(-c): -c for c in code.values()}}),
             ("_pair_kind", {(twist_code[c1], twist_code[c2]): kind
                             for (c1, c2), kind in pair_kind.items()}),
             ("expansions", expansions), ("_chain_sides", chain_sides),
@@ -288,8 +292,8 @@ def _step_letters(step: Step, config: CurveConfiguration) -> list[int]:
 
 def _step_symbol(step: Step, config: CurveConfiguration) -> int:
     """The one symbol, with exponent +-1, that a step's data names."""
-    code = code_of_token(step.data)
-    if code is not None and name_of(code) in config._code_of_symbol:
+    code = config._code_of_token.get(step.data)
+    if code is not None:
         return code
     letters = _step_letters(step, config)
     if len(letters) != 1:
@@ -297,23 +301,21 @@ def _step_symbol(step: Step, config: CurveConfiguration) -> int:
     return letters[0]
 
 
-def _window(syms: Codes, step: Step, count: int) -> Codes:
-    p = step.position
-    if p + count > len(syms):
-        raise PatternMismatch(p, f"{step.move} needs {count} symbols at this position")
-    return syms[p : p + count]
+def _too_short(step: Step, count: int) -> PatternMismatch:
+    """The refusal of a pattern of ``count`` symbols past the word's end."""
+    return PatternMismatch(step.position, f"{step.move} needs {count} symbols at this position")
 
 
-def _check_pair(config: CurveConfiguration, step: Step, s1: int, s2: int, kind: str) -> None:
-    """The braid and commute precondition: two distinct, registered curves."""
-    if config._pair_kind.get((abs(s1), abs(s2))) == kind:
-        return
+def _pair_refusal(config: CurveConfiguration, step: Step, s1: int, s2: int,
+                  kind: str) -> MoveError:
+    """Why braid or commute does not apply to the letters ``s1 s2``, whose
+    curves are not a registered ``kind`` pair."""
     curve_of = config.curve_of_code
     pair = frozenset((curve_of.get(abs(s1)), curve_of.get(abs(s2))))
     if None in pair or len(pair) != 2:
-        raise PatternMismatch(step.position, f"{step.move} applies to two distinct twists")
+        return PatternMismatch(step.position, f"{step.move} applies to two distinct twists")
     names = ", ".join(repr(c) for c in sorted(pair))
-    raise UnregisteredRelation(step.position, f"{{{names}}} is not a registered {kind} pair")
+    return UnregisteredRelation(step.position, f"{{{names}}} is not a registered {kind} pair")
 
 
 def _twist_code(config: CurveConfiguration, curve: str, sign: int) -> int:
@@ -321,8 +323,10 @@ def _twist_code(config: CurveConfiguration, curve: str, sign: int) -> int:
     return sign * config._code_of_symbol[config.twist_of_curve[curve]]
 
 
-# Each move checks its pattern and returns the rewritten symbols together
-# with the step that undoes it, built from what the match found.
+# Each move checks its pattern, reading letters by index after its own
+# upper-bound check (``_move`` refuses a negative position), and returns
+# the rewritten codes together with the step that undoes it, built from
+# what the match found.
 _Rewrite = tuple[Codes, Step]
 
 
@@ -337,20 +341,26 @@ def _free_insert(syms, step, config) -> _Rewrite:
 
 def _free_cancel(syms, step, config) -> _Rewrite:
     p = step.position
-    a, b = _window(syms, step, 2)
+    if p + 2 > len(syms):
+        raise _too_short(step, 2)
+    a, b = syms[p], syms[p + 1]
     if a != -b:
         raise PatternMismatch(p, f"{token_of(a)} {token_of(b)} is not an inverse pair")
     return syms[:p] + syms[p + 2 :], _new_tuple(Step, ("free-insert", p, token_of(a)))
 
 
 # braid and commute keep the word's length, so they swap the matched
-# letters in a copy rather than concatenate three pieces.
+# letters in a copy rather than concatenate three pieces.  A registered
+# pair is one lookup; ``_pair_refusal`` runs only to say why a step fails.
 def _braid(syms, step, config) -> _Rewrite:
     p = step.position
-    a, b, c = _window(syms, step, 3)
-    if a != c or (a > 0) != (b > 0):
+    if p + 3 > len(syms):
+        raise _too_short(step, 3)
+    a, b = syms[p], syms[p + 1]
+    if syms[p + 2] != a or (a > 0) != (b > 0):
         raise PatternMismatch(p, "braid needs s t s with a uniform sign")
-    _check_pair(config, step, a, b, "braid")
+    if config._pair_kind.get((abs(a), abs(b))) != "braid":
+        raise _pair_refusal(config, step, a, b, "braid")
     out = list(syms)
     out[p] = out[p + 2] = b
     out[p + 1] = a
@@ -359,8 +369,11 @@ def _braid(syms, step, config) -> _Rewrite:
 
 def _commute(syms, step, config) -> _Rewrite:
     p = step.position
-    a, b = _window(syms, step, 2)
-    _check_pair(config, step, a, b, "disjoint")
+    if p + 2 > len(syms):
+        raise _too_short(step, 2)
+    a, b = syms[p], syms[p + 1]
+    if config._pair_kind.get((abs(a), abs(b))) != "disjoint":
+        raise _pair_refusal(config, step, a, b, "disjoint")
     out = list(syms)
     out[p], out[p + 1] = b, a
     return tuple(out), step
@@ -411,8 +424,10 @@ def _twist_naturality(syms, step, config) -> _Rewrite:
     if p < len(syms) and abs(syms[p]) == code:
         # collapse  m^s t_c m^-s  ->  t_{m^s(c)}  (s = +-1, read off the word);
         # undone by expanding with the mapping symbol found here
-        first, mid, last = _window(syms, step, 3)
-        if last != -first:
+        if p + 3 > len(syms):
+            raise _too_short(step, 3)
+        first, mid = syms[p], syms[p + 1]
+        if syms[p + 2] != -first:
             raise PatternMismatch(p, f"need {mname} ... {token_of(-code)} around a twist")
         curve = config.curve_of_code.get(abs(mid))
         if curve is None:
@@ -452,20 +467,23 @@ _MOVES = {
 MOVE_KINDS = tuple(_MOVES)
 
 
-def _rewrite(word: TwistWord, step: Step, config: CurveConfiguration) -> tuple[TwistWord, Step]:
-    """Apply ``step`` once; return the new word and the step undoing it."""
+def _move(step: Step):
+    """The move that applies ``step``, called as ``move(codes, step, config)``;
+    the one entry point of every replay, and the one place that refuses an
+    unknown kind and a negative position (each move checks its upper bound)."""
     move = _MOVES.get(step.move)
     if move is None:
         raise ValueError(f"unknown move kind {step.move!r}")
-    if step.position < 0:  # the one lower bound; each move checks its upper bound
+    if step.position < 0:
         raise PatternMismatch(step.position, "position must not be negative")
-    codes, inverse = move(word._codes, step, config)
-    return TwistWord._raw(codes), inverse
+    return move
 
 
 def apply_step(word: TwistWord, step: Step, config: CurveConfiguration) -> TwistWord:
     """Apply one rewriting move; raises MoveError when it does not apply."""
-    return _rewrite(word, step, config)[0]
+    out = _new_object(TwistWord)
+    _set_codes(out, _move(step)(word._codes, step, config)[0])
+    return out
 
 
 def invert_steps(
@@ -473,12 +491,13 @@ def invert_steps(
 ) -> tuple[TwistWord, list[Step]]:
     """Replay ``steps`` from ``source``; return (final word, reversed inverses).
 
-    Raises MoveError at the first step that does not apply.
+    Raises MoveError at the first step that does not apply.  The replay
+    runs on codes, and only the final word is wrapped.
     """
-    word = source
+    syms = source._codes
     inverses: list[Step] = []
     for step in steps:
-        word, inverse = _rewrite(word, step, config)
+        syms, inverse = _move(step)(syms, step, config)
         inverses.append(inverse)
     inverses.reverse()
-    return word, inverses
+    return TwistWord._raw(syms), inverses

@@ -24,12 +24,11 @@ The intern table only grows, by one entry per distinct name that an
 alphabet has accepted, and an entry holds its letters' one-token
 spellings, so only this module knows the token format: ``token_of``
 gives the token a lone letter prints as (``name`` or ``name^-1``), and
-``code_of_token`` the letter that ``name``, ``name^1`` or ``name^-1``
-spells, or None for any other token (``name^+1``), which only
-``parse_letters`` reads.  Every name enters through ``code_of``, which
-applies the one symbol-name rule, ``is_name``, to a name not yet
-interned: an ASCII identifier (NAME_PATTERN), so it prints as one token
-that reads back as itself, never as the identity's ``1``.  ``encode``,
+``parse_letters`` reads every spelling back.  Every name enters
+through ``code_of``, which applies the one symbol-name rule,
+``is_name``, to a name not yet interned: an ASCII identifier
+(NAME_PATTERN), so it prints as one token that reads back as itself,
+never as the identity's ``1``.  ``encode``,
 which constructors and configurations use, checks a whole word's new
 names first, so a bad name or sign is refused with ValueError before any
 name of the word is interned.  ``parse_letters`` codes no name itself:
@@ -61,12 +60,11 @@ MAX_PARSED_LETTERS = 10**6
 
 # The intern table, both ways: ``_CODE[name, sign]`` is a letter's code
 # and ``_LETTER[code]`` its ``(name, sign)``; ``_TOKEN[code]`` is its
-# printed token, and ``_CODE_OF_TOKEN`` reads its one-letter tokens back.
+# printed token.
 _CODE: dict[Letter, int] = {}
 _LETTER: dict[int, Letter] = {}
 _TOKEN: dict[int, str] = {}
-_CODE_OF_TOKEN: dict[str, int] = {}
-token_of, code_of_token = _TOKEN.__getitem__, _CODE_OF_TOKEN.get
+token_of = _TOKEN.__getitem__
 
 # The symbol-name rule that ``is_name`` checks, spelled out for messages.
 NAME_PATTERN = "[A-Za-z_][A-Za-z0-9_]*"
@@ -80,9 +78,8 @@ def code_of(name: str) -> int:
         _check_name(name)
         code = len(_LETTER) // 2 + 1
         for sign, token in ((1, name), (-1, f"{name}^-1")):
-            _CODE[name, sign] = _CODE_OF_TOKEN[token] = sign * code
+            _CODE[name, sign] = sign * code
             _LETTER[sign * code], _TOKEN[sign * code] = (name, sign), token
-        _CODE_OF_TOKEN[f"{name}^1"] = code
     return code
 
 

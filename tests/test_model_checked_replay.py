@@ -16,7 +16,15 @@ import pytest
 from twistscl import cli
 from twistscl.pi1 import evaluate
 from twistscl.scripts import ProofScript, check_script, parse_script
-from twistscl.twists import MoveError, Step, TwistWord, apply_step, default_configuration
+from twistscl.twists import (
+    MoveError,
+    Step,
+    TwistWord,
+    apply_step,
+    default_configuration,
+    invert_steps,
+)
+from twistscl.words import decode
 
 CFG = default_configuration()
 FULL_IMAGE_MAX_SYMBOLS = 16
@@ -301,6 +309,64 @@ def test_reported_conjugator_carries_the_source_to_the_final_word():
         assert evaluate(report.final, CFG) == evaluate(c * source * c.inverse(), CFG), (
             str(source), [str(step) for step in steps])
     assert several >= 30
+
+
+# Every one-symbol token, the data of free-insert and conjugate-equation
+# in the exhaustive check below.
+TOKENS = tuple(name + sign for name in SYMBOLS for sign in ("", "^-1"))
+EXHAUSTIVE_DATA = {
+    "free-insert": TOKENS, "conjugate-equation": TOKENS, "definition-substitute": ("alpha", "beta"),
+}
+
+
+def test_every_move_on_short_words_keeps_the_model_value_and_is_undone():
+    """Every step of every kind but twist-naturality (pi1 cannot evaluate a
+    mapping symbol), at every position 0..len+1 with every listed datum, on
+    every word of at most 2 symbols, the chain sides and the definitions'
+    expansions, and braid on every word of 3 symbols.  A model can refute a
+    rule but not prove it: agreement shows only that the moves keep the
+    value pi1 gives.  Every reported inverse restores its word, except
+    where conjugate-equation's seam cancellation ate an inverse pair of the
+    word itself (the strict xfail in test_twists.py); those are counted."""
+    letters = [CFG.word(token) for token in TOKENS]
+    short = [TwistWord(), *letters, *(a * b for a in letters for b in letters)]
+    (left, right), = CFG.chain_relations
+    seeds = [left, right, left.inverse(), right.inverse(),
+             *(TwistWord(decode(codes)) for codes in CFG.expansions.values())]
+    triples = [a * b * c for a in letters for b in letters for c in letters]
+    values: dict = {}
+
+    def value(word):
+        if word not in values:
+            values[word] = evaluate(word, CFG)
+        return values[word]
+
+    applied, unrestored = Counter(), Counter()
+    for words, kinds in ((short + seeds, MOVES + ("conjugate-equation",)), (triples, ("braid",))):
+        for word in words:
+            for p in range(len(word) + 2):
+                for move in kinds:
+                    for data in EXHAUSTIVE_DATA.get(move, ("",)):
+                        step = Step(move, p, data)
+                        try:
+                            after = apply_step(word, step, CFG)
+                        except MoveError:
+                            continue
+                        applied[move] += 1
+                        expected = word
+                        if move == "conjugate-equation":
+                            conj = CFG.word(data)
+                            expected = conj * word * conj.inverse()
+                        assert value(after) == value(expected), (str(word), str(step))
+                        _, (inverse,) = invert_steps(word, [step], CFG)
+                        unrestored[move] += apply_step(after, inverse, CFG) != word
+    assert applied == {
+        "free-insert": 9478, "free-cancel": 14, "braid": 8, "commute": 72,
+        "chain-substitute": 6, "definition-substitute": 122, "conjugate-equation": 12544,
+    }, applied
+    # t t^-1 conjugated by t^-1 gives 1, and so does its inverse: each of the
+    # 14 symbols t, at each of the 4 positions (conjugate-equation ignores it)
+    assert +unrestored == {"conjugate-equation": 56}, unrestored
 
 
 # Step data drawn for the position fuzz: valid for some kinds, noise for

@@ -1,8 +1,10 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+from twistscl.scripts import ProofScript, check_script
 from twistscl.twists import (
     MAX_MAPPINGS,
     MOVE_KINDS,
@@ -21,7 +23,6 @@ from twistscl.twists import (
 from twistscl.words import (
     MAX_PARSED_LETTERS,
     Word,
-    code_of_token,
     format_letters,
     parse_letters,
     token_of,
@@ -29,6 +30,8 @@ from twistscl.words import (
 
 CFG = default_configuration()
 W = CFG.word
+G = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
+CFG_G = CFG.with_mapping(G)
 
 
 def test_default_configuration_table_counts():
@@ -245,21 +248,20 @@ def test_mapping_symbols_must_be_injective():
             MappingSymbol("bad", pairs)
 
 
-def test_moves_are_reversible_on_random_derivations():
+def _seeded_tries():
+    """The seeded derivations behind the reversibility test: 400 tries of a
+    random step from each start word, restarting every 20 tries, so that
+    relation windows such as t4 t5 are not lost in a long word.  Yields
+    (the derivation's start word and number, word, step, the word after it
+    or None where it is refused)."""
     rng = random.Random(2024)
-    g = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
-    cfg = CFG.with_mapping(g)
     start_words = [
-        cfg.word("t4 t5"), cfg.word("t1 t2 t1 t3"), cfg.word("t_alpha t4 t1^-1"),
-        cfg.word("g t4 g^-1 t2"), cfg.word("t2^3 t3^-1 t2^-3 t1"),
+        CFG_G.word("t4 t5"), CFG_G.word("t1 t2 t1 t3"), CFG_G.word("t_alpha t4 t1^-1"),
+        CFG_G.word("g t4 g^-1 t2"), CFG_G.word("t2^3 t3^-1 t2^-3 t1"),
     ]
     inserts = ["t1", "t2^-1", "t3", "t4^-1", "t5", "t_alpha", "t_beta^-1"]
-    tried = 0
-    applied = {move: 0 for move in MOVE_KINDS}
     for start in start_words:
         for i in range(400):
-            # derivations of 20 moves, so that relation windows such as
-            # t4 t5 are not lost in a long word
             if i % 20 == 0:
                 word = start
             move = rng.choice(MOVE_KINDS)
@@ -275,21 +277,87 @@ def test_moves_are_reversible_on_random_derivations():
             else:
                 data = ""
             step = Step(move, pos, data)
-            tried += 1
             try:
-                after = apply_step(word, step, cfg)
+                after = apply_step(word, step, CFG_G)
             except (PatternMismatch, UnregisteredRelation):
-                continue
-            applied[move] += 1
-            # Moves wrap their output without re-checking it; the full
-            # constructor check must accept every word they build.
-            assert type(after.symbols) is tuple
-            assert TwistWord(after.symbols) == after
-            _, (inverse,) = invert_steps(word, [step], cfg)
-            back = apply_step(after, inverse, cfg)
-            assert back == word, (str(word), step)
-            word = after
+                after = None
+            yield (start, i // 20), word, step, after
+            if after is not None:
+                word = after
+
+
+def test_moves_are_reversible_on_random_derivations():
+    tried = 0
+    applied = {move: 0 for move in MOVE_KINDS}
+    for _, word, step, after in _seeded_tries():
+        tried += 1
+        if after is None:
+            continue
+        applied[step.move] += 1
+        # Moves wrap their output without re-checking it; the full
+        # constructor check must accept every word they build.
+        assert type(after.symbols) is tuple
+        assert TwistWord(after.symbols) == after
+        _, (inverse,) = invert_steps(word, [step], CFG_G)
+        back = apply_step(after, inverse, CFG_G)
+        assert back == word, (str(word), step)
     assert all(applied.values()) and sum(applied.values()) > 200, (tried, applied)
+
+
+def _failure_on_each_path(source, steps):
+    """Replay ``steps`` through apply_step, as check_script does, and through
+    invert_steps; return each path's final word, or the index, class,
+    position and reason of the step that failed."""
+    report = check_script(ProofScript(source, tuple(steps), source), CFG_G)
+    replayed = source
+    for i, step in enumerate(steps):
+        try:
+            replayed = apply_step(replayed, step, CFG_G)
+        except MoveError as err:
+            replayed = (i, type(err), err.position, err.reason)
+            assert report.failure == (i, str(err)) and report.final is None
+            break
+    else:
+        assert report.final == replayed
+    consumed = []
+    try:
+        end, _ = invert_steps(source, (consumed.append(step) or step for step in steps), CFG_G)
+    except MoveError as err:
+        inverted = (len(consumed) - 1, type(err), err.position, err.reason)
+    else:
+        assert type(end) is TwistWord
+        inverted = end
+    return replayed, inverted
+
+
+def test_invert_steps_and_check_script_replay_alike():
+    """invert_steps replays on codes, apart from apply_step: on the seeded
+    derivations, and on copies with one step corrupted, both paths end on
+    the same word or fail at the same step with the same error."""
+    derivations = {}
+    for run, _, step, after in _seeded_tries():
+        steps = derivations.setdefault(run, [])
+        if after is not None:
+            steps.append(step)
+    rng = random.Random(32)
+    outcomes = Counter()
+    for (source, _), steps in derivations.items():
+        variants = [steps]
+        for _ in range(3):
+            if not steps:
+                break
+            k = rng.randrange(len(steps))
+            move, position, data = steps[k]
+            bad = rng.choice((
+                Step(move, -1, data), Step(move, position + 10**6, data), Step(move, position, "q"),
+                Step(rng.choice(MOVE_KINDS), position, data), Step(move, position + 1, data),
+            ))
+            variants.append(steps[:k] + [bad] + steps[k + 1 :])
+        for variant in variants:
+            replayed, inverted = _failure_on_each_path(source, variant)
+            assert replayed == inverted, (str(source), [str(s) for s in variant])
+            outcomes[type(replayed) is tuple] += 1
+    assert outcomes[False] >= 100 and outcomes[True] >= 100, outcomes
 
 
 def test_inverse_step_refuses_a_step_that_does_not_apply():
@@ -329,8 +397,6 @@ def test_invert_steps_round_trip():
 # configuration tables and failure texts
 # ---------------------------------------------------------------------------
 
-G = MappingSymbol("g", (("a4", "a1"), ("alpha", "a5")))
-CFG_G = CFG.with_mapping(G)
 PUBLIC_FIELDS = (
     "curves", "twist_of_curve", "braid_pairs", "disjoint_pairs", "chain_relations",
     "definitions", "mappings", "curve_of_twist",
@@ -530,18 +596,20 @@ def test_step_data_for_odd_mapping_names_is_read_as_the_parser_reads_it():
     for name in ("1", "m^2", "m n", ""):
         with pytest.raises(ValueError, match="is not an identifier"):
             CFG.with_mapping(MappingSymbol(name, (("a1", "a2"),)))
-    # every symbol's recorded spellings, both signs, read as that one letter
+    # the configuration's token table holds every symbol's printed spellings,
+    # both signs, and each reads through the parser as that one letter
+    table = {}
     for name in (*CFG_G.curve_of_twist, *CFG_G.mappings):
         code = CFG_G.spell(name)[0]
         for c in (code, -code):
             spelling = token_of(c)
             assert spelling == format_letters((c,))
             assert parse_letters(spelling, CFG_G.spell) == [c]
-            assert code_of_token(spelling) == c
-        assert code_of_token(f"{name}^1") == code
+            table[spelling] = c
+    assert CFG_G._code_of_token == table
     # an interned name outside the alphabet goes to the parser, which
     # refuses it
     Word.generator("u1")
-    assert code_of_token("u1") is not None
+    assert "u1" not in CFG_G._code_of_token
     with pytest.raises(MoveError, match="unknown symbol 'u1'"):
         apply_step(CFG_G.word("t1"), Step("free-insert", 0, "u1"), CFG_G)
