@@ -216,14 +216,23 @@ def _cmd_matrix(args) -> _Outcome:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for one request.  Every subcommand is registered with
+    its help, and so is every expand mode under ``expand``, so choices,
+    help and usage read as always; only the names that are tokens of
+    ``argv`` get their options and handler.  argparse parses a subparser
+    only after a token has matched its name exactly."""
+    named = set(argv)
     parser = argparse.ArgumentParser(
         prog="twistscl",
         description="Exact verification of Dehn-twist commutator identities "
                     "and stable-commutator-length bounds.",
     )
-    def command(parent, name, func=None, json_default=False, **kwargs) -> argparse.ArgumentParser:
+    def command(parent, name, func=None, json_default=False,
+                **kwargs) -> Optional[argparse.ArgumentParser]:
         p = parent.add_parser(name, **kwargs)
+        if name not in named:
+            return None
         p.add_argument("--json", action="store_true", default=json_default,
                        help="emit one canonical JSON report per line")
         if func is not None:
@@ -232,50 +241,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = command(sub, "verify", _cmd_verify, help="run a built-in verification")
-    p.add_argument("what", choices=("relations", "tenth-power"))
+    if p := command(sub, "verify", _cmd_verify, help="run a built-in verification"):
+        p.add_argument("what", choices=("relations", "tenth-power"))
 
-    p = command(sub, "check-script", _cmd_check_script, help="replay a proof script file")
-    p.add_argument("file")
-    p.add_argument("--trace", action="store_true",
-                   help="include every intermediate word in the report")
+    if p := command(sub, "check-script", _cmd_check_script, help="replay a proof script file"):
+        p.add_argument("file")
+        p.add_argument("--trace", action="store_true",
+                       help="include every intermediate word in the report")
 
-    p = command(sub, "expand", _cmd_expand, help="certified commutator expansions of powers")
-    exp_sub = p.add_subparsers(dest="mode", required=True)
-    for mode in ("culler", "bavard"):
-        # A subparser's defaults overwrite what its parent parsed, so the
-        # expand modes leave ``json`` unset unless given: ``expand --json
-        # culler`` and ``expand culler --json`` both print JSON.
-        pm = command(exp_sub, mode, json_default=argparse.SUPPRESS)
-        if mode == "bavard":
-            pm.add_argument("--r", type=int, required=True)
-        pm.add_argument("--k", type=int, required=True)
-        pm.add_argument("--emit", action="store_true", help="embed the factor words")
+    if p := command(sub, "expand", _cmd_expand, help="certified commutator expansions of powers"):
+        exp_sub = p.add_subparsers(dest="mode", required=True)
+        for mode in ("culler", "bavard"):
+            # A subparser's defaults overwrite what its parent parsed, so the
+            # expand modes leave ``json`` unset unless given: ``expand --json
+            # culler`` and ``expand culler --json`` both print JSON.
+            if pm := command(exp_sub, mode, json_default=argparse.SUPPRESS):
+                if mode == "bavard":
+                    pm.add_argument("--r", type=int, required=True)
+                pm.add_argument("--k", type=int, required=True)
+                pm.add_argument("--emit", action="store_true", help="embed the factor words")
 
-    p = command(sub, "bounds", _cmd_bounds, help="stable-commutator-length bound table")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--punctures", type=int, default=0)
-    p.add_argument("--boundary", type=int, default=0)
-    p.add_argument("--curve", choices=bounds_mod.CURVE_KINDS, default="nonseparating")
-    p.add_argument("--side-genus", type=int, default=None,
-                   help="smaller-side genus of a separating curve")
+    if p := command(sub, "bounds", _cmd_bounds, help="stable-commutator-length bound table"):
+        p.add_argument("--genus", type=int, required=True)
+        p.add_argument("--punctures", type=int, default=0)
+        p.add_argument("--boundary", type=int, default=0)
+        p.add_argument("--curve", choices=bounds_mod.CURVE_KINDS, default="nonseparating")
+        p.add_argument("--side-genus", type=int, default=None,
+                       help="smaller-side genus of a separating curve")
 
-    p = command(sub, "numerology", _cmd_numerology,
-                help="fibration invariant ledger and contradiction search")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--r", required=True, help="rational ratio, e.g. 1/49")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
-    group.add_argument("--find-n", action="store_true")
+    if p := command(sub, "numerology", _cmd_numerology,
+                    help="fibration invariant ledger and contradiction search"):
+        p.add_argument("--genus", type=int, required=True)
+        p.add_argument("--r", required=True, help="rational ratio, e.g. 1/49")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--n", type=int)
+        group.add_argument("--find-n", action="store_true")
 
-    p = command(sub, "matrix", _cmd_matrix, help="tridiagonal intersection form and its minors")
-    p.add_argument("--size", type=int, required=True)
+    if p := command(sub, "matrix", _cmd_matrix,
+                    help="tridiagonal intersection form and its minors"):
+        p.add_argument("--size", type=int, required=True)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     command = " ".join([args.command, *(getattr(args, a) for a in ("mode", "what") if a in args)])
     # Rendering is inside the refusal path: a report can hold an int too
     # long for Python to print.

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -408,17 +409,22 @@ def _fuzzed_argv(rng, files):
     return argv + ["--json"]
 
 
-def test_cli_survives_a_seeded_argv_fuzz(tmp_path):
-    """Each fuzzed argv prints one JSON report line whose status matches
-    exit 0, 1 or 2, or ends in argparse's SystemExit(2) with nothing on
-    stdout; no other exception escapes, and each call is quick."""
+def _fuzzed_argvs(tmp_path):
+    """The fuzz's 700 seeded argvs, over a passing, a failing and a
+    missing script file."""
     failing = tmp_path / "fail.script"
     failing.write_text("let source = t4 t5\nstep braid @0\nclaim t4 t5\n")
     files = [str(REPO_ROOT / SCRIPT_PATH), str(failing), str(tmp_path / "missing.script")]
     rng = random.Random(2424)
+    return [_fuzzed_argv(rng, files) for _ in range(700)]
+
+
+def test_cli_survives_a_seeded_argv_fuzz(tmp_path):
+    """Each fuzzed argv prints one JSON report line whose status matches
+    exit 0, 1 or 2, or ends in argparse's SystemExit(2) with nothing on
+    stdout; no other exception escapes, and each call is quick."""
     outcomes, slowest = Counter(), 0.0
-    for _ in range(700):
-        argv = _fuzzed_argv(rng, files)
+    for argv in _fuzzed_argvs(tmp_path):
         out = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -590,3 +596,74 @@ def test_help_and_usage_texts_are_unchanged(monkeypatch, path, help_digest, usag
         text, other = (out, err) if code == 0 else (err, out)
         assert (exit_.value.code, other.getvalue()) == (code, "")
         assert hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest() == digest, text.getvalue()
+
+
+# Every subcommand and expand mode: the names a request can give, which
+# are the tokens of the help paths above.
+ALL_COMMAND_NAMES = sorted({name for path, _, _ in HELP_TEXT_DIGESTS for name in path})
+
+
+def _outcome(argv):
+    """stdout, stderr and the exit code, or ("exit", code) for SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = ("exit", exit_.code)
+    return out.getvalue(), err.getvalue(), code
+
+
+def test_the_lazy_parser_answers_as_the_parser_that_names_everything(monkeypatch, tmp_path):
+    """A request's parser builds only the subcommands its argv names; the
+    parser with every subcommand's options gives the same bytes and exit
+    for the fuzz, the golden argvs, every help path and a few odd ones."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        *_fuzzed_argvs(tmp_path),
+        *(argv for _, argv, _ in CASES),
+        *(path + tail for path, _, _ in HELP_TEXT_DIGESTS for tail in ([], ["--help"])),
+        ["--help"], [], ["no-such-command"], ["expand", "--json", "culler", "--k", "3"],
+    ]
+    lazy = [_outcome(argv) for argv in argvs]
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: build_parser(ALL_COMMAND_NAMES))
+    for argv, expected in zip(argvs, lazy):
+        assert _outcome(argv) == expected, argv
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["matrix", "--size", "3", "--json"], 9),
+    (["expand", "bavard", "--r", "2", "--k", "2", "--json"], 14),
+], ids=["matrix", "expand-bavard"])
+def test_a_request_adds_only_the_arguments_it_names(monkeypatch, argv, calls):
+    """One ``-h`` per parser built (the top level, the six subcommands and,
+    under ``expand``, its two modes) plus the named subcommand's own
+    options.  The parser that names everything makes 33 such calls, and
+    two more through numerology's group."""
+    made = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert run_cli(argv)[0] == 0
+    assert len(made) == calls
+
+
+def test_a_subcommand_not_named_has_no_options():
+    args, extra = cli.build_parser(["matrix"]).parse_known_args(["bounds", "--genus", "3"])
+    assert extra == ["--genus", "3"] and "genus" not in args
+    args, extra = cli.build_parser(["bounds"]).parse_known_args(["bounds", "--genus", "3"])
+    assert (extra, args.genus) == ([], 3)
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch):
+    """The console script calls ``main()``; it answers as ``main(argv)``."""
+    _, argv, expected_code = CASES[0]
+    expected = run_cli(argv)
+    monkeypatch.setattr(sys, "argv", ["twistscl", *argv])
+    assert run_cli(None) == expected
+    assert expected[0] == expected_code
